@@ -1334,8 +1334,7 @@ let cluster_extern t (entry : entry) : Process.handler =
             *. Simnet.message_seconds t.net 64
             *. float_of_int (max 1 (List.length parts)));
           let abort reason =
-            txn.Dspec.x_state <- Dspec.Aborted reason;
-            Obs.Metrics.incr (Dspec.c_aborts t.dspec);
+            Dspec.abort t.dspec txn ~reason;
             emit_entry t entry
               (Obs.Trace.Dspec_abort
                  { txn = txn_id; parts = part_pids; reason });
@@ -1426,8 +1425,7 @@ let cluster_extern t (entry : entry) : Process.handler =
                    stop carrying a join obligation — a receiver that
                    consumes one later must not join a level the commit
                    is about to dissolve. *)
-                txn.Dspec.x_state <- Dspec.Committed;
-                Obs.Metrics.incr (Dspec.c_commits t.dspec);
+                Dspec.commit t.dspec txn;
                 emit_entry t entry
                   (Obs.Trace.Dspec_commit { txn = txn_id; parts = part_pids });
                 let uids = [ txn.Dspec.x_root_uid ] in
@@ -1562,8 +1560,7 @@ let register_entry t (entry : entry) =
           match Dspec.open_with_root t.dspec ~coord_pid:pid ~root_uid:uid with
           | None -> ()
           | Some txn ->
-            txn.Dspec.x_state <- Dspec.Aborted "coordinator_rolled_back";
-            Obs.Metrics.incr (Dspec.c_aborts t.dspec);
+            Dspec.abort t.dspec txn ~reason:"coordinator_rolled_back";
             emit_entry t entry
               (Obs.Trace.Dspec_abort
                  {
@@ -1583,8 +1580,7 @@ let register_entry t (entry : entry) =
           with
           | None -> ()
           | Some txn ->
-            txn.Dspec.x_compensated <- true;
-            Obs.Metrics.incr ~by:discarded (Dspec.c_compensated t.dspec);
+            Dspec.mark_compensated t.dspec txn ~discarded;
             emit_entry t entry
               (Obs.Trace.Dspec_compensate
                  { txn = txn.Dspec.x_id; discarded }))
@@ -2502,10 +2498,8 @@ let handle_migration t (entry : entry) =
 let abort_dead_coordinator_txns t (e : entry) ~discarded =
   List.iter
     (fun (txn : Dspec.txn) ->
-      txn.Dspec.x_state <- Dspec.Aborted "coordinator_dead";
-      txn.Dspec.x_compensated <- true;
-      Obs.Metrics.incr (Dspec.c_aborts t.dspec);
-      Obs.Metrics.incr ~by:discarded (Dspec.c_compensated t.dspec);
+      Dspec.abort t.dspec txn ~reason:"coordinator_dead";
+      Dspec.mark_compensated t.dspec txn ~discarded;
       let parts = List.rev_map (fun p -> p.Dspec.p_pid) txn.Dspec.x_parts in
       emit_entry t e
         (Obs.Trace.Dspec_abort
@@ -2722,14 +2716,16 @@ let do_resurrect ?rank ?(seed = 11) t ~node_id ~path =
         | Some ctx -> (
           match Dspec.find t.dspec ctx.Migrate.Wire.x_txn with
           | Some txn when txn.Dspec.x_state = Dspec.Open ->
-            txn.Dspec.x_coord_pid <- pid;
-            (match
-               List.nth_opt
-                 (List.rev (Spec.Engine.unique_ids proc.Process.spec))
-                 ctx.Migrate.Wire.x_root
-             with
-            | Some uid -> txn.Dspec.x_root_uid <- uid
-            | None -> ())
+            let root_uid =
+              match
+                List.nth_opt
+                  (List.rev (Spec.Engine.unique_ids proc.Process.spec))
+                  ctx.Migrate.Wire.x_root
+              with
+              | Some uid -> uid
+              | None -> txn.Dspec.x_root_uid
+            in
+            Dspec.rehome t.dspec txn ~coord_pid:pid ~root_uid
           | Some _ | None -> ()));
         n.busy_seconds <- n.busy_seconds +. compile_s;
         Obs.Metrics.incr t.c_resurrections;

@@ -3,7 +3,14 @@
    Only bookkeeping lives here: the protocol itself — prepare fan-out,
    epoch fencing, the crash_in_commit draw, distributed rollback and
    mailbox compensation — is driven by Cluster, which owns the entries,
-   mailboxes and the speculation engines the decisions act on. *)
+   mailboxes and the speculation engines the decisions act on.
+
+   Only LIVE transactions (Open, or Aborted and not yet compensated)
+   keep their full record, filed under three indexes: by id, by
+   (coordinator pid, root uid) and by coordinator pid.  A decided
+   transaction is retired to a compact per-id decision, so every lookup
+   costs a constant per request instead of a scan of the whole
+   history. *)
 
 type part = {
   mutable p_pid : int;
@@ -23,9 +30,23 @@ type txn = {
   mutable x_compensated : bool;
 }
 
+(* A coordinator identity shared by every decision it made, so
+   [rebind_pid] renames it once instead of walking the history.  When
+   the new pid already owns an identity, the old one forwards to it. *)
+type coord = { mutable c_pid : int; mutable c_merged : coord option }
+
+type decision = { d_coord : coord; d_state : state }
+
 type t = {
   mutable next_id : int;
-  txns : (int, txn) Hashtbl.t;
+  live : (int, txn) Hashtbl.t;
+  by_root : (int * int, txn list) Hashtbl.t;
+      (** (coord pid, root uid) -> live txns, newest first *)
+  by_coord : (int, txn list) Hashtbl.t;
+      (** coord pid -> live txns, newest first *)
+  decided : (int, decision) Hashtbl.t;
+  coords : (int, coord) Hashtbl.t;
+  g_live : Obs.Metrics.gauge;
   c_opened : Obs.Metrics.counter;
   c_prepares : Obs.Metrics.counter;
   c_prepare_acks : Obs.Metrics.counter;
@@ -41,7 +62,12 @@ let create ?metrics () =
   in
   {
     next_id = 1;
-    txns = Hashtbl.create 16;
+    live = Hashtbl.create 16;
+    by_root = Hashtbl.create 16;
+    by_coord = Hashtbl.create 16;
+    decided = Hashtbl.create 64;
+    coords = Hashtbl.create 16;
+    g_live = Obs.Metrics.gauge metrics "dspec.live_txns";
     c_opened = Obs.Metrics.counter metrics "dspec.opened";
     c_prepares = Obs.Metrics.counter metrics "dspec.prepares";
     c_prepare_acks = Obs.Metrics.counter metrics "dspec.prepare_acks";
@@ -51,6 +77,69 @@ let create ?metrics () =
       Obs.Metrics.counter metrics "dspec.fence_rejections";
     c_compensated = Obs.Metrics.counter metrics "dspec.compensated";
   }
+
+let is_live txn =
+  match txn.x_state with
+  | Open -> true
+  | Aborted _ -> not txn.x_compensated
+  | Committed -> false
+
+let root_key txn = txn.x_coord_pid, txn.x_root_uid
+
+let bucket tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[]
+
+let bucket_add tbl k txn = Hashtbl.replace tbl k (txn :: bucket tbl k)
+
+let bucket_remove tbl k txn =
+  match List.filter (fun x -> x != txn) (bucket tbl k) with
+  | [] -> Hashtbl.remove tbl k
+  | l -> Hashtbl.replace tbl k l
+
+let file t txn =
+  Hashtbl.replace t.live txn.x_id txn;
+  bucket_add t.by_root (root_key txn) txn;
+  bucket_add t.by_coord txn.x_coord_pid txn
+
+let unfile t txn =
+  Hashtbl.remove t.live txn.x_id;
+  bucket_remove t.by_root (root_key txn) txn;
+  bucket_remove t.by_coord txn.x_coord_pid txn
+
+let set_live_gauge t =
+  Obs.Metrics.set t.g_live (float_of_int (Hashtbl.length t.live))
+
+let coord_of_pid t pid =
+  match Hashtbl.find_opt t.coords pid with
+  | Some c -> c
+  | None ->
+    let c = { c_pid = pid; c_merged = None } in
+    Hashtbl.replace t.coords pid c;
+    c
+
+let rec resolve c =
+  match c.c_merged with None -> c.c_pid | Some c' -> resolve c'
+
+(* Move a no-longer-live transaction from the live indexes to its
+   decision record. *)
+let retire t txn =
+  if Hashtbl.mem t.live txn.x_id then begin
+    unfile t txn;
+    Hashtbl.replace t.decided txn.x_id
+      { d_coord = coord_of_pid t txn.x_coord_pid; d_state = txn.x_state };
+    set_live_gauge t
+  end
+
+(* [x_state] is public and mutable, so an indexed entry may have been
+   decided behind the table's back: re-check each hit, retiring the
+   entries that are no longer live. *)
+let live_of t txns =
+  List.filter
+    (fun txn ->
+      is_live txn
+      ||
+      (retire t txn;
+       false))
+    txns
 
 let open_txn t ~coord_pid ~root_uid ~coord_laddr =
   let txn =
@@ -65,11 +154,30 @@ let open_txn t ~coord_pid ~root_uid ~coord_laddr =
     }
   in
   t.next_id <- t.next_id + 1;
-  Hashtbl.replace t.txns txn.x_id txn;
+  file t txn;
+  set_live_gauge t;
   Obs.Metrics.incr t.c_opened;
   txn
 
-let find t id = Hashtbl.find_opt t.txns id
+let find t id =
+  match Hashtbl.find_opt t.live id with
+  | Some _ as live -> live
+  | None ->
+    Option.map
+      (fun d ->
+        {
+          x_id = id;
+          x_coord_pid = resolve d.d_coord;
+          x_root_uid = -1;
+          x_coord_laddr = -1;
+          x_state = d.d_state;
+          x_parts = [];
+          x_compensated =
+            (match d.d_state with
+            | Aborted _ -> true
+            | Open | Committed -> false);
+        })
+      (Hashtbl.find_opt t.decided id)
 
 let register txn ~pid ~rank ~epoch =
   match List.find_opt (fun p -> p.p_pid = pid) txn.x_parts with
@@ -80,43 +188,62 @@ let register txn ~pid ~rank ~epoch =
     txn.x_parts <- { p_pid = pid; p_rank = rank; p_epoch = epoch }
                    :: txn.x_parts
 
-(* Deterministic iteration: ascending txn id, independent of the
-   hashtable's bucket layout. *)
-let sorted_txns t =
-  Hashtbl.fold (fun _ txn acc -> txn :: acc) t.txns []
+let open_coordinated_by t ~pid =
+  live_of t (bucket t.by_coord pid)
+  |> List.filter (fun txn -> txn.x_state = Open)
   |> List.sort (fun a b -> compare a.x_id b.x_id)
 
-let open_coordinated_by t ~pid =
-  List.filter
-    (fun txn -> txn.x_state = Open && txn.x_coord_pid = pid)
-    (sorted_txns t)
+(* Lowest id among the live transactions rooted at this level whose
+   state satisfies [want] (two opens in one level are legal). *)
+let lowest_with_root t ~coord_pid ~root_uid want =
+  List.fold_left
+    (fun best txn ->
+      match best with
+      | Some b when b.x_id < txn.x_id -> best
+      | _ -> if want txn.x_state then Some txn else best)
+    None
+    (live_of t (bucket t.by_root (coord_pid, root_uid)))
 
 let open_with_root t ~coord_pid ~root_uid =
-  List.find_opt
-    (fun txn ->
-      txn.x_state = Open
-      && txn.x_coord_pid = coord_pid
-      && txn.x_root_uid = root_uid)
-    (sorted_txns t)
+  lowest_with_root t ~coord_pid ~root_uid (fun s -> s = Open)
 
 let aborted_with_root t ~coord_pid ~root_uid =
-  List.find_opt
-    (fun txn ->
-      (match txn.x_state with Aborted _ -> true | Open | Committed -> false)
-      && (not txn.x_compensated)
-      && txn.x_coord_pid = coord_pid
-      && txn.x_root_uid = root_uid)
-    (sorted_txns t)
+  lowest_with_root t ~coord_pid ~root_uid (function
+    | Aborted _ -> true
+    | Open | Committed -> false)
+
+let rehome t txn ~coord_pid ~root_uid =
+  let live = Hashtbl.mem t.live txn.x_id in
+  if live then unfile t txn;
+  txn.x_coord_pid <- coord_pid;
+  txn.x_root_uid <- root_uid;
+  if live then file t txn
+
+let commit t txn =
+  txn.x_state <- Committed;
+  Obs.Metrics.incr t.c_commits;
+  retire t txn
+
+let abort t txn ~reason =
+  txn.x_state <- Aborted reason;
+  Obs.Metrics.incr t.c_aborts
+
+let mark_compensated t txn ~discarded =
+  txn.x_compensated <- true;
+  Obs.Metrics.incr ~by:discarded t.c_compensated;
+  retire t txn
 
 let rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch =
+  List.iter
+    (fun txn ->
+      let root_uid =
+        Option.value (List.assoc_opt txn.x_root_uid uid_map)
+          ~default:txn.x_root_uid
+      in
+      rehome t txn ~coord_pid:new_pid ~root_uid)
+    (live_of t (bucket t.by_coord old_pid));
   Hashtbl.iter
     (fun _ txn ->
-      if txn.x_coord_pid = old_pid then begin
-        txn.x_coord_pid <- new_pid;
-        match List.assoc_opt txn.x_root_uid uid_map with
-        | Some uid -> txn.x_root_uid <- uid
-        | None -> ()
-      end;
       List.iter
         (fun p ->
           if p.p_pid = old_pid then begin
@@ -125,12 +252,18 @@ let rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch =
             p.p_epoch <- epoch
           end)
         txn.x_parts)
-    t.txns
+    t.live;
+  (* the decisions it made as coordinator follow the identity *)
+  match Hashtbl.find_opt t.coords old_pid with
+  | None -> ()
+  | Some c -> (
+    Hashtbl.remove t.coords old_pid;
+    match Hashtbl.find_opt t.coords new_pid with
+    | Some merged -> c.c_merged <- Some merged
+    | None ->
+      c.c_pid <- new_pid;
+      Hashtbl.replace t.coords new_pid c)
 
-let c_opened t = t.c_opened
 let c_prepares t = t.c_prepares
 let c_prepare_acks t = t.c_prepare_acks
-let c_commits t = t.c_commits
-let c_aborts t = t.c_aborts
 let c_fence_rejections t = t.c_fence_rejections
-let c_compensated t = t.c_compensated

@@ -20,7 +20,18 @@
     The table is cluster-global (it lives beside the registry, not
     inside any process image), so transactions survive the migration of
     their coordinator or participants; {!rebind_pid} re-keys the stored
-    identities when a process is re-instantiated under a new pid. *)
+    identities when a process is re-instantiated under a new pid.
+
+    Only {e live} transactions — Open, or Aborted and not yet
+    compensated — keep a full record, indexed by id, by
+    (coordinator pid, root uid) and by coordinator pid.  A transaction
+    that commits, or whose abort is compensated, is retired to a
+    compact decision record (coordinator and decided state), so every
+    lookup costs a constant per request however long the history.
+    State changes go through {!commit}, {!abort}, {!mark_compensated}
+    and {!rehome}, which keep the indexes right; a direct write to
+    [x_state] is also honoured, because every index hit re-checks the
+    entry's actual state and retires the ones no longer live. *)
 
 type part = {
   mutable p_pid : int;
@@ -58,14 +69,20 @@ type t
 val create : ?metrics:Obs.Metrics.t -> unit -> t
 (** [metrics] receives the protocol counters ([dspec.opened],
     [dspec.prepares], [dspec.prepare_acks], [dspec.commits],
-    [dspec.aborts], [dspec.fence_rejections], [dspec.compensated]); a
-    private registry is used when omitted. *)
+    [dspec.aborts], [dspec.fence_rejections], [dspec.compensated]) and
+    the [dspec.live_txns] gauge (full records held: the table's
+    bounded state); a private registry is used when omitted. *)
 
 val open_txn : t -> coord_pid:int -> root_uid:int -> coord_laddr:int -> txn
 (** Allocate a fresh transaction (ids sequential from 1) rooted at the
     coordinator's current speculation level. *)
 
 val find : t -> int -> txn option
+(** A live transaction's record; for a decided one, a detached summary
+    carrying its id, current coordinator pid and decided state
+    ([x_compensated] set on an abort, no participants, [x_root_uid] and
+    [x_coord_laddr] [-1]).  Writes to a summary do not reach the
+    table. *)
 
 val register : txn -> pid:int -> rank:int -> epoch:int -> unit
 (** Record [pid] as a participant at its current incarnation epoch.
@@ -74,35 +91,50 @@ val register : txn -> pid:int -> rank:int -> epoch:int -> unit
     identity). *)
 
 val open_coordinated_by : t -> pid:int -> txn list
-(** The still-open transactions coordinated by [pid] — what must abort
-    when that process's node fails. *)
+(** The still-open transactions coordinated by [pid], ascending id —
+    what must abort when that process's node fails. *)
 
 val open_with_root : t -> coord_pid:int -> root_uid:int -> txn option
-(** The open transaction rooted at exactly this coordinator level, if
-    any (how the send path recognises traffic that must register its
-    receiver as a participant). *)
+(** The lowest-id open transaction rooted at exactly this coordinator
+    level, if any (how the send path recognises traffic that must
+    register its receiver as a participant). *)
 
 val aborted_with_root : t -> coord_pid:int -> root_uid:int -> txn option
-(** The not-yet-compensated aborted transaction whose root level is
-    [root_uid] — the rollback path claims it to account the mailbox
-    compensation exactly once. *)
+(** The lowest-id not-yet-compensated aborted transaction whose root
+    level is [root_uid] — the rollback path claims it to account the
+    mailbox compensation exactly once. *)
+
+(** {2 Transitions} — each keeps the live indexes right. *)
+
+val commit : t -> txn -> unit
+(** Decide [Committed] (bumps [dspec.commits]) and retire the record. *)
+
+val abort : t -> txn -> reason:string -> unit
+(** Decide [Aborted reason] (bumps [dspec.aborts]); the record stays
+    live until {!mark_compensated}. *)
+
+val mark_compensated : t -> txn -> discarded:int -> unit
+(** Account an abort's mailbox compensation ([dspec.compensated] grows
+    by [discarded]) and retire the record. *)
+
+val rehome : t -> txn -> coord_pid:int -> root_uid:int -> unit
+(** Re-register a transaction under a new coordinator pid and root
+    level (an image restored with its transaction context). *)
 
 val rebind_pid :
   t -> old_pid:int -> new_pid:int -> uid_map:(int * int) list ->
   rank:int -> epoch:int -> unit
 (** A process was re-instantiated (migration or resurrection):
-    [old_pid] becomes [new_pid] everywhere in the table.  Where it
+    [old_pid] becomes [new_pid] everywhere in the table (live records
+    are walked; decisions follow the coordinator identity).  Where it
     coordinates, the root uid is translated through [uid_map] (the
     old-engine → new-engine stable-uid correspondence).  Where it
     participates, its recorded rank AND epoch are refreshed — a
     deliberate re-home is not a zombie, so its ack stays valid. *)
 
-(** {2 Counters} — bumped by the cluster's protocol driver. *)
+(** {2 Counters} — bumped by the cluster's protocol driver (the
+    transitions above bump their own). *)
 
-val c_opened : t -> Obs.Metrics.counter
 val c_prepares : t -> Obs.Metrics.counter
 val c_prepare_acks : t -> Obs.Metrics.counter
-val c_commits : t -> Obs.Metrics.counter
-val c_aborts : t -> Obs.Metrics.counter
 val c_fence_rejections : t -> Obs.Metrics.counter
-val c_compensated : t -> Obs.Metrics.counter

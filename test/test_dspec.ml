@@ -51,12 +51,26 @@ let exit_code cluster pid =
    followed by that coordinator's own region rollback; (3) every abort
    is followed by mailbox compensation for its transaction. *)
 let audit_no_partial_commits events =
+  (* one pass collects the evidence: per pid the latest rollback time,
+     and the compensated txn ids *)
   let committed = Hashtbl.create 16 and aborted = Hashtbl.create 16 in
+  let last_rollback = Hashtbl.create 16 and compensated = Hashtbl.create 16 in
+  let live_aborts = ref [] in
   List.iter
     (fun (ev : Obs.Trace.event) ->
       match ev.Obs.Trace.kind with
       | Obs.Trace.Dspec_commit { txn; _ } -> Hashtbl.replace committed txn ()
-      | Obs.Trace.Dspec_abort { txn; _ } -> Hashtbl.replace aborted txn ()
+      | Obs.Trace.Dspec_abort { txn; reason; _ } ->
+        Hashtbl.replace aborted txn ();
+        if reason = "fence" || reason = "crash_in_commit" then
+          live_aborts := (ev, txn, reason) :: !live_aborts
+      | Obs.Trace.Spec_rollback _ ->
+        let t = ev.Obs.Trace.time in
+        (match Hashtbl.find_opt last_rollback ev.Obs.Trace.pid with
+        | Some t0 when t0 >= t -> ()
+        | _ -> Hashtbl.replace last_rollback ev.Obs.Trace.pid t)
+      | Obs.Trace.Dspec_compensate { txn; _ } ->
+        Hashtbl.replace compensated txn ()
       | _ -> ())
     events;
   Hashtbl.iter
@@ -66,37 +80,19 @@ let audit_no_partial_commits events =
           txn)
     aborted;
   List.iter
-    (fun (ev : Obs.Trace.event) ->
-      match ev.Obs.Trace.kind with
-      | Obs.Trace.Dspec_abort { txn; reason; _ }
-        when reason = "fence" || reason = "crash_in_commit" ->
-        let rolled =
-          List.exists
-            (fun (e2 : Obs.Trace.event) ->
-              e2.Obs.Trace.pid = ev.Obs.Trace.pid
-              && e2.Obs.Trace.time >= ev.Obs.Trace.time
-              &&
-              match e2.Obs.Trace.kind with
-              | Obs.Trace.Spec_rollback _ -> true
-              | _ -> false)
-            events
-        in
-        if not rolled then
-          Alcotest.failf
-            "txn %d aborted (%s) but coordinator pid %d never rolled back"
-            txn reason ev.Obs.Trace.pid;
-        let compensated =
-          List.exists
-            (fun (e2 : Obs.Trace.event) ->
-              match e2.Obs.Trace.kind with
-              | Obs.Trace.Dspec_compensate { txn = x; _ } -> x = txn
-              | _ -> false)
-            events
-        in
-        if not compensated then
-          Alcotest.failf "txn %d aborted without mailbox compensation" txn
-      | _ -> ())
-    events
+    (fun ((ev : Obs.Trace.event), txn, reason) ->
+      let rolled =
+        match Hashtbl.find_opt last_rollback ev.Obs.Trace.pid with
+        | Some t -> t >= ev.Obs.Trace.time
+        | None -> false
+      in
+      if not rolled then
+        Alcotest.failf
+          "txn %d aborted (%s) but coordinator pid %d never rolled back"
+          txn reason ev.Obs.Trace.pid;
+      if not (Hashtbl.mem compensated txn) then
+        Alcotest.failf "txn %d aborted without mailbox compensation" txn)
+    (List.rev !live_aborts)
 
 let abort_reasons events =
   List.filter_map
@@ -358,6 +354,238 @@ let test_faulty_serving_reproducible () =
   Alcotest.(check string) "same seed, byte-identical traces" (trace ())
     (trace ())
 
+(* ------------------------------------------------------------------ *)
+(* Bounded state: decided transactions leave the live table           *)
+(* ------------------------------------------------------------------ *)
+
+let test_live_table_drains () =
+  let cluster, _, _ = run_f5 env_seed in
+  check "the run aborted transactions" true (count cluster "dspec.aborts" > 0);
+  check_int "every opened txn resolved" (count cluster "dspec.opened")
+    (count cluster "dspec.commits" + count cluster "dspec.aborts");
+  Alcotest.(check (float 0.0))
+    "no live transactions once the run is over" 0.0
+    (Obs.Metrics.gauge_read (Net.Cluster.metrics cluster) "dspec.live_txns")
+
+(* ------------------------------------------------------------------ *)
+(* Model-based property: the indexed table answers like a list scan    *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference model is the table as a plain list of every
+   transaction ever opened, each lookup a scan for the lowest matching
+   id — the semantics the live indexes and decision records must keep.
+   Transitions are applied only where the protocol applies them (commit
+   and abort on an Open txn, compensation on an uncompensated abort);
+   direct [x_state] writes hit any live txn, as a caller holding the
+   record may do. *)
+
+type mtxn = {
+  m_id : int;
+  mutable m_coord : int;
+  mutable m_root : int;
+  mutable m_state : Net.Dspec.state;
+  mutable m_comp : bool;
+  mutable m_parts : (int * int * int) list;  (* newest first *)
+}
+
+type dop =
+  | D_open of int * int
+  | D_register of int * int * int * int
+  | D_commit of int
+  | D_abort of int
+  | D_compensate of int
+  | D_write of int * Net.Dspec.state
+  | D_rebind of int * int * (int * int) list * int * int
+
+let pids = 5
+let roots = 3
+
+let dop_gen =
+  let open QCheck.Gen in
+  let pid = int_bound (pids - 1) and root = int_bound (roots - 1) in
+  let txn = int_bound 30 and small = int_bound 9 in
+  frequency
+    [
+      (5, map2 (fun c r -> D_open (c, r)) pid root);
+      (3, map3 (fun i p (r, e) -> D_register (i, p, r, e)) txn pid
+            (pair small small));
+      (3, map (fun i -> D_commit i) txn);
+      (3, map (fun i -> D_abort i) txn);
+      (3, map (fun i -> D_compensate i) txn);
+      (2, map2 (fun i s -> D_write (i, s)) txn
+            (oneofl Net.Dspec.[ Open; Committed; Aborted "direct" ]));
+      (2, map3 (fun o n (m, (r, e)) -> D_rebind (o, n, m, r, e)) pid pid
+            (pair (list_size (int_bound 3) (pair root root))
+               (pair small small)));
+    ]
+
+let show_state = function
+  | Net.Dspec.Open -> "open"
+  | Net.Dspec.Committed -> "committed"
+  | Net.Dspec.Aborted r -> "aborted:" ^ r
+
+let show_dop = function
+  | D_open (c, r) -> Printf.sprintf "open(%d,%d)" c r
+  | D_register (i, p, r, e) -> Printf.sprintf "reg%d(%d@%d/%d)" i p r e
+  | D_commit i -> Printf.sprintf "commit%d" i
+  | D_abort i -> Printf.sprintf "abort%d" i
+  | D_compensate i -> Printf.sprintf "comp%d" i
+  | D_write (i, st) -> Printf.sprintf "write%d=%s" i (show_state st)
+  | D_rebind (o, n, m, _, _) ->
+    Printf.sprintf "rebind(%d->%d,[%s])" o n
+      (String.concat ";"
+         (List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b) m))
+
+let m_live m =
+  match m.m_state with
+  | Net.Dspec.Open -> true
+  | Net.Dspec.Aborted _ -> not m.m_comp
+  | Net.Dspec.Committed -> false
+
+(* lowest id among model txns satisfying [p] (the list is id-ordered) *)
+let m_lowest model p =
+  Option.map (fun m -> m.m_id) (List.find_opt p model)
+
+let prop_dspec_matches_scan_model =
+  QCheck.Test.make ~count:300 ~name:"indexed dspec table matches a list scan"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 80) dop_gen)
+       ~print:(fun ops -> String.concat " " (List.map show_dop ops)))
+    (fun ops ->
+      let metrics = Obs.Metrics.create () in
+      let t = Net.Dspec.create ~metrics () in
+      let reals = Hashtbl.create 16 in
+      let model = ref [] in
+      let nth i = List.find_opt (fun m -> m.m_id = i) !model in
+      let with_txn i f =
+        match nth i with
+        | Some m -> f m (Hashtbl.find reals i)
+        | None -> ()
+      in
+      let apply = function
+        | D_open (c, r) ->
+          let x =
+            Net.Dspec.open_txn t ~coord_pid:c ~root_uid:r ~coord_laddr:(-1)
+          in
+          Hashtbl.replace reals x.Net.Dspec.x_id x;
+          model :=
+            !model
+            @ [ { m_id = x.Net.Dspec.x_id; m_coord = c; m_root = r;
+                  m_state = Net.Dspec.Open; m_comp = false; m_parts = [] } ]
+        | D_register (i, pid, rank, epoch) ->
+          with_txn i (fun m x ->
+              if m_live m then begin
+                Net.Dspec.register x ~pid ~rank ~epoch;
+                m.m_parts <-
+                  (if List.exists (fun (p, _, _) -> p = pid) m.m_parts then
+                     List.map
+                       (fun ((p, _, _) as e) ->
+                         if p = pid then (p, rank, epoch) else e)
+                       m.m_parts
+                   else (pid, rank, epoch) :: m.m_parts)
+              end)
+        | D_commit i ->
+          with_txn i (fun m x ->
+              if m.m_state = Net.Dspec.Open then begin
+                Net.Dspec.commit t x;
+                m.m_state <- Net.Dspec.Committed
+              end)
+        | D_abort i ->
+          with_txn i (fun m x ->
+              if m.m_state = Net.Dspec.Open then begin
+                Net.Dspec.abort t x ~reason:"test";
+                m.m_state <- Net.Dspec.Aborted "test"
+              end)
+        | D_compensate i ->
+          with_txn i (fun m x ->
+              match m.m_state with
+              | Net.Dspec.Aborted _ when not m.m_comp ->
+                Net.Dspec.mark_compensated t x ~discarded:1;
+                m.m_comp <- true
+              | _ -> ())
+        | D_write (i, st) ->
+          with_txn i (fun m x ->
+              if m_live m then begin
+                x.Net.Dspec.x_state <- st;
+                m.m_state <- st
+              end)
+        | D_rebind (old_pid, new_pid, uid_map, rank, epoch) ->
+          Net.Dspec.rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch;
+          List.iter
+            (fun m ->
+              if m.m_coord = old_pid then begin
+                m.m_coord <- new_pid;
+                match List.assoc_opt m.m_root uid_map with
+                | Some u -> m.m_root <- u
+                | None -> ()
+              end;
+              m.m_parts <-
+                List.map
+                  (fun ((p, _, _) as e) ->
+                    if p = old_pid then (new_pid, rank, epoch) else e)
+                  m.m_parts)
+            !model
+      in
+      let id = Option.map (fun x -> x.Net.Dspec.x_id) in
+      let agree () =
+        let ms = !model in
+        let lookups_ok =
+          List.for_all
+            (fun c ->
+              List.for_all
+                (fun r ->
+                  let at m = m.m_coord = c && m.m_root = r in
+                  id (Net.Dspec.open_with_root t ~coord_pid:c ~root_uid:r)
+                  = m_lowest ms (fun m -> at m && m.m_state = Net.Dspec.Open)
+                  && id
+                       (Net.Dspec.aborted_with_root t ~coord_pid:c
+                          ~root_uid:r)
+                     = m_lowest ms (fun m ->
+                           at m
+                           && m_live m
+                           && m.m_state <> Net.Dspec.Open))
+                (List.init roots Fun.id)
+              && List.map
+                   (fun x -> x.Net.Dspec.x_id)
+                   (Net.Dspec.open_coordinated_by t ~pid:c)
+                 = List.filter_map
+                     (fun m ->
+                       if m.m_coord = c && m.m_state = Net.Dspec.Open then
+                         Some m.m_id
+                       else None)
+                     ms)
+            (List.init pids Fun.id)
+        in
+        let find_ok =
+          List.for_all
+            (fun m ->
+              match Net.Dspec.find t m.m_id with
+              | None -> false
+              | Some x ->
+                x.Net.Dspec.x_coord_pid = m.m_coord
+                && x.Net.Dspec.x_state = m.m_state
+                && ((not (m_live m))
+                   || x.Net.Dspec.x_root_uid = m.m_root
+                      && List.map
+                           (fun p ->
+                             Net.Dspec.(p.p_pid, p.p_rank, p.p_epoch))
+                           x.Net.Dspec.x_parts
+                         = m.m_parts))
+            ms
+          && Net.Dspec.find t (List.length ms + 1) = None
+        in
+        (* the lookups above retired every entry a direct write decided,
+           so the gauge now counts exactly the model's live txns *)
+        lookups_ok && find_ok
+        && Obs.Metrics.gauge_read metrics "dspec.live_txns"
+           = float_of_int (List.length (List.filter m_live ms))
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          agree ())
+        ops)
+
 let suites =
   [
     ( "dspec",
@@ -374,5 +602,8 @@ let suites =
           `Quick test_speculative_serving_under_faults;
         Alcotest.test_case "faulty serving: byte-identical traces" `Quick
           test_faulty_serving_reproducible;
+        Alcotest.test_case "live table drains after a faulty run" `Quick
+          test_live_table_drains;
+        QCheck_alcotest.to_alcotest prop_dspec_matches_scan_model;
       ] );
   ]
