@@ -40,14 +40,12 @@ type entry = {
   e_program : Fir.Ast.program; (* decoded once, shared read-only *)
   e_verdict : (unit, string) result; (* typecheck verdict at admission *)
   e_masm : Masm.image option; (* None exactly when e_verdict is Error *)
-  mutable e_linked : Link.image option;
-      (* pre-resolved form of [e_masm], built at admission or memoized on
-         first use ([linked_of]); linking is a pure function of the MASM
-         image, so sharing it across hits is safe *)
   mutable e_compiled : Compile.image option;
-      (* closure-compiled form of [e_linked], same memoization contract
-         ([compiled_of]); the compiled image is process-independent, so
-         a warm migration hop resumes straight into compiled code *)
+      (* closure-compiled form of [e_masm], built at admission or
+         memoized on first use ([compiled_of]); compiling is a pure
+         function of the MASM image and the result is
+         process-independent, so sharing it across hits is safe and a
+         warm migration hop resumes straight into compiled code *)
   e_instrs : int;
   mutable e_tick : int; (* last-use stamp (LRU) *)
 }
@@ -163,33 +161,21 @@ let over_budget t =
   | Some budget -> t.total_instrs > budget
   | None -> false
 
-(* The pre-resolved image for a positive entry, linked at most once and
-   shared by every subsequent hit.  [None] for negative entries. *)
-let linked_of (e : entry) =
-  match e.e_linked with
-  | Some _ as l -> l
-  | None -> (
-    match e.e_masm with
-    | None -> None
-    | Some masm ->
-      let l = Link.link masm in
-      e.e_linked <- Some l;
-      Some l)
-
 (* The closure-compiled image for a positive entry, compiled at most
-   once over the (also memoized) linked form. *)
+   once and shared by every subsequent hit.  [None] for negative
+   entries. *)
 let compiled_of (e : entry) =
   match e.e_compiled with
   | Some _ as c -> c
   | None -> (
-    match linked_of e with
+    match e.e_masm with
     | None -> None
-    | Some linked ->
-      let c = Compile.compile linked in
+    | Some masm ->
+      let c = Compile.compile_masm masm in
       e.e_compiled <- Some c;
       Some c)
 
-let add t ?linked ?compiled ~digest ~arch ~trusted ~program ~verdict ~masm () =
+let add t ?compiled ~digest ~arch ~trusted ~program ~verdict ~masm () =
   if enabled t then begin
     let key = digest, arch, mode_of_trusted trusted in
     let instrs =
@@ -202,12 +188,6 @@ let add t ?linked ?compiled ~digest ~arch ~trusted ~program ~verdict ~masm () =
         e_program = program;
         e_verdict = verdict;
         e_masm = masm;
-        (* a supplied compiled image embeds its linked form; keep the
-           two fields consistent so hits share one resolution *)
-        e_linked =
-          (match compiled with
-          | Some c -> Some c.Compile.c_linked
-          | None -> linked);
         e_compiled = compiled;
         e_instrs = instrs;
         e_tick = t.tick;

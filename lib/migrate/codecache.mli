@@ -24,11 +24,9 @@ type entry = {
   e_program : Fir.Ast.program;
   e_verdict : (unit, string) result;
   e_masm : Masm.image option;  (** [None] exactly when the verdict is an error *)
-  mutable e_linked : Link.image option;
-      (** pre-resolved form of [e_masm]; use {!linked_of}, which links at
-          most once and shares the result across hits *)
   mutable e_compiled : Compile.image option;
-      (** closure-compiled form of [e_linked]; use {!compiled_of}.  The
+      (** closure-compiled form of [e_masm]; use {!compiled_of}, which
+          compiles at most once and shares the result across hits.  The
           compiled image is process-independent, so warm migration hops
           resume straight into compiled code without re-compiling *)
   e_instrs : int;
@@ -56,7 +54,6 @@ val find : t -> digest:string -> arch:string -> trusted:bool -> entry option
 
 val add :
   t ->
-  ?linked:Link.image ->
   ?compiled:Compile.image ->
   digest:string -> arch:string -> trusted:bool ->
   program:Fir.Ast.program ->
@@ -65,14 +62,8 @@ val add :
   unit ->
   unit
 (** Admit (or replace) an entry, then evict least-recently-used entries
-    until the bounds hold again.  [linked] (resp. [compiled]), when the
-    admitter already paid for the translation pass, is stored so hits
-    never re-link (resp. re-compile); a supplied [compiled] also
-    provides the linked form it embeds. *)
-
-val linked_of : entry -> Link.image option
-(** The entry's pre-resolved image, linking (and memoizing) on first
-    use.  [None] exactly when the verdict is an error. *)
+    until the bounds hold again.  [compiled], when the admitter already
+    paid for the translation pass, is stored so hits never re-compile. *)
 
 val compiled_of : entry -> Compile.image option
 (** The entry's closure-compiled image, compiling (and memoizing) on

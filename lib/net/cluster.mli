@@ -363,15 +363,15 @@ val move : t -> Move.request -> (Move.outcome, migration_error) result
     chain replayed) from shared storage and resumed on the destination;
     failures surface as [Resurrect_failed]. *)
 
-(** {2 Introspection} *)
+(** {2 Introspection}
+
+    The cluster's one event log is the typed trace ({!trace}): read it
+    in simulated-time order with {!Obs.Trace.timeline}, match on
+    {!Obs.Trace.kind}, and render events with {!Obs.Trace.event_to_json}
+    or export the whole run with {!Obs.Trace.write_jsonl}. *)
 
 val statuses : t -> (int * int option * int * Process.status) list
 (** (pid, rank, node, status) for every process ever placed. *)
-
-val events : t -> string list
-(** Deprecated view: the typed trace ({!trace}) rendered as the
-    historical stringly log, simulated-time order.  Bounded by the trace
-    ring's capacity; read {!Obs.Trace.timeline} directly instead. *)
 
 val migrations : t -> migration_record list
 val storage : t -> Storage.t

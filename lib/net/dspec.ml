@@ -267,3 +267,51 @@ let rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch =
 let c_prepares t = t.c_prepares
 let c_prepare_acks t = t.c_prepare_acks
 let c_fence_rejections t = t.c_fence_rejections
+
+(* A trace ring keeps the newest window; an abort whose evidence
+   predates the window is dropped with the abort itself, so the audit
+   stays sound under truncation.  One pass collects the evidence — per
+   pid the latest rollback time, and the compensated txn ids — so the
+   audit is linear in the trace. *)
+let audit (events : Obs.Trace.event list) =
+  let committed = Hashtbl.create 64 and compensated = Hashtbl.create 64 in
+  let last_rollback = Hashtbl.create 16 and aborts = ref [] in
+  List.iter
+    (fun (ev : Obs.Trace.event) ->
+      match ev.Obs.Trace.kind with
+      | Obs.Trace.Dspec_commit { txn; _ } -> Hashtbl.replace committed txn ()
+      | Obs.Trace.Dspec_abort { txn; reason; _ } ->
+        aborts := (ev, txn, reason) :: !aborts
+      | Obs.Trace.Spec_rollback _ ->
+        let t = ev.Obs.Trace.time in
+        (match Hashtbl.find_opt last_rollback ev.Obs.Trace.pid with
+        | Some t0 when t0 >= t -> ()
+        | _ -> Hashtbl.replace last_rollback ev.Obs.Trace.pid t)
+      | Obs.Trace.Dspec_compensate { txn; _ } ->
+        Hashtbl.replace compensated txn ()
+      | _ -> ())
+    events;
+  let aborts = List.rev !aborts in
+  let unresolved ((ev : Obs.Trace.event), txn, reason) =
+    if not (reason = "fence" || reason = "crash_in_commit") then None
+    else if
+      match Hashtbl.find_opt last_rollback ev.Obs.Trace.pid with
+      | Some t -> t < ev.Obs.Trace.time
+      | None -> true
+    then
+      Some
+        (Printf.sprintf
+           "txn %d aborted (%s) but coordinator pid %d never rolled back" txn
+           reason ev.Obs.Trace.pid)
+    else if not (Hashtbl.mem compensated txn) then
+      Some (Printf.sprintf "txn %d aborted without mailbox compensation" txn)
+    else None
+  in
+  match List.find_opt (fun (_, txn, _) -> Hashtbl.mem committed txn) aborts with
+  | Some (_, txn, _) ->
+    Error
+      (Printf.sprintf "partial commit: txn %d both committed and aborted" txn)
+  | None -> (
+    match List.find_map unresolved aborts with
+    | Some msg -> Error msg
+    | None -> Ok ())

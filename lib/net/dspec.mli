@@ -138,3 +138,12 @@ val rebind_pid :
 val c_prepares : t -> Obs.Metrics.counter
 val c_prepare_acks : t -> Obs.Metrics.counter
 val c_fence_rejections : t -> Obs.Metrics.counter
+
+(** {2 Audit} *)
+
+val audit : Obs.Trace.event list -> (unit, string) result
+(** The zero-partial-commit invariant over a trace, in one linear pass:
+    no transaction both commits and aborts, and every abort decided by a
+    live coordinator ("fence" / "crash_in_commit") is followed by that
+    coordinator's own region rollback and by mailbox compensation for
+    the transaction.  [Error] names the first violation. *)

@@ -1,4 +1,4 @@
-(** Closure compilation of linked MASM: the third execution tier.
+(** Closure compilation of linked MASM: the production execution tier.
 
     [compile] translates a {!Link.image} into arrays of OCaml closures —
     one entry closure per straight-line *run* of linked instructions,
@@ -9,7 +9,7 @@
 
     Runs are maximal segments broken only at control entry points (pc 0,
     branch/switch targets, the pc after an extern); the run compiler
-    performs four optimizations the per-instruction tiers cannot:
+    performs four optimizations a per-instruction loop cannot:
 
     - {b unboxed forwarding}: a producer whose result representation is
       statically known ([op+], comparisons, casts to int…) writes its
@@ -28,9 +28,9 @@
       per-call register/spill clears to the slots that may actually be
       read before being written.
 
-    Compiled code is observationally identical to the [Fast] and
-    [Baseline] modes: same results, same retired-instruction counts,
-    same cycle charges at the same observation boundaries, same traps.
+    Compiled code is observationally identical to the [Baseline] mode:
+    same results, same retired-instruction counts, same cycle charges
+    at the same observation boundaries, same traps.
     Runs never fuse across observation points ([Lext], the
     migration/speculation pseudo-instructions, block exits), and every
     interior pc of a run is unreachable by construction (it is not a
@@ -38,7 +38,7 @@
 
     A compiled image captures only static data; all per-process state
     travels in the {!state} record.  It is therefore process-independent
-    and is memoized in [Migrate.Codecache] next to the linked image, so
+    and is memoized in [Migrate.Codecache] next to the MASM image, so
     warm migration hops resume straight into compiled code. *)
 
 open Runtime

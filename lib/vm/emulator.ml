@@ -13,53 +13,47 @@
 
    Two execution modes share the semantics:
 
-   - [Fast] (the default) runs the pre-resolved image (see Link):
-     dense function indices instead of String_map lookups per tail
-     call, binary-search switch tables, pre-built immediates, and
-     static per-instruction cycle costs accumulated in a local and
-     flushed in bulk.  The flush discipline preserves the exact cycle
-     counts of per-instruction charging at every point where they are
-     observable: before each extern call (externs read the cycle
-     counter to compute simulated time), before each pseudo-instruction
-     (they charge their own traps), and at block exit — including the
-     exceptional exits, where the handler flushes whatever the partial
-     block accumulated.
+   - [Compiled] (the default, and the only mode production runs)
+     executes the closure-compiled image (see Compile): one
+     partial-evaluated closure per fused instruction segment, dispatch
+     loop [st.pc <- code.(st.pc) st].  Static per-instruction cycle
+     costs accumulate in a local and are flushed in bulk.  The flush
+     discipline preserves the exact cycle counts of per-instruction
+     charging at every point where they are observable: before each
+     extern call (externs read the cycle counter to compute simulated
+     time), before each pseudo-instruction (they charge their own
+     traps), and at block exit — including the exceptional exits, where
+     the handler flushes whatever the partial block accumulated.
 
-   - [Baseline] is the pre-optimization interpreter loop, kept
-     executable so the V1 bench can measure before/after from the same
-     build and the equivalence tests can assert the two modes produce
-     identical results AND identical cycle counts.
-
-   - [Compiled] (the default) executes the closure-compiled image (see
-     Compile): one partial-evaluated closure per fused instruction
-     segment, dispatch loop [st.pc <- code.(st.pc) st].  Same flush
-     discipline, same accounting, same traps — the three-way equivalence
-     suite holds all three modes to identical observable behaviour. *)
+   - [Baseline] is the per-instruction loop over the unlinked image,
+     kept executable as the test oracle and so the V1 bench can measure
+     the compiled tier against it from the same build; the equivalence
+     tests assert the two modes produce identical results AND identical
+     cycle counts. *)
 
 open Runtime
 
 exception Emulator_error = Compile.Emulator_error
 
-type mode = Fast | Baseline | Compiled
+type mode = Baseline | Compiled
 
+(* Baseline's register file; [enter_function] allocates each function's
+   spill slots *)
 type frame = {
-  mutable regs : Value.t array;
+  regs : Value.t array;
   mutable spills : Value.t array;
 }
 
-type t = {
-  image : Masm.image;
-  linked : Link.image;
-  compiled : Compile.image option;  (* Some exactly when mode = Compiled *)
-  cstate : Compile.state;
-  proc : Process.t;
-  frame : frame;
-  mode : mode;
-  (* per-process resolution of the linked image's function names:
-     [Some (Vfun i)] when the name is in the process's function table,
-     [None] otherwise (resolving then raises Invalid_function at USE
-     time, as the unlinked lookup did) *)
-  fun_values : Value.t option array;
+(* What the mode executes: Baseline runs the unlinked image against its
+   own frame; the closure-compiled image, and the state its closures run
+   against, exist exactly in Compiled mode. *)
+type tier =
+  | Loop of frame
+  | Closures of closures
+
+and closures = {
+  cimg : Compile.image;
+  st : Compile.state;
   (* one-entry resolution cache for the dispatch loop, keyed by
      PHYSICAL string equality: a static tail call re-installs the
      linked image's own name into the continuation, so the next step
@@ -69,80 +63,64 @@ type t = {
      into the hashtable. *)
   mutable last_name : string;
   mutable last_idx : int;
+}
+
+type t = {
+  image : Masm.image;
+  proc : Process.t;
+  tier : tier;
   (* emulated instructions retired (both modes) — the V1 MIPS meter *)
   mutable instrs : int;
 }
 
-let create ?(mode = Compiled) ?linked ?compiled image proc =
+let create ?(mode = Compiled) ?compiled image proc =
   if not (String.equal image.Masm.im_arch proc.Process.arch.Arch.name) then
     raise
       (Emulator_error
          (Printf.sprintf "image compiled for %s, process runs on %s"
             image.Masm.im_arch proc.Process.arch.Arch.name));
-  (* a supplied compiled image wins (its embedded linked image is the
-     one its closures index into); otherwise compile on demand exactly
-     when the mode needs it *)
-  let compiled =
-    match compiled, mode with
-    | (Some _ as c), _ -> c
-    | None, Compiled ->
-      let linked = match linked with Some l -> l | None -> Link.link image in
-      Some (Compile.compile linked)
-    | None, (Fast | Baseline) -> None
+  let regs = Array.make proc.Process.arch.Arch.registers Value.Vunit in
+  let tier =
+    match mode with
+    | Baseline -> Loop { regs; spills = [| Value.Vunit |] }
+    | Compiled ->
+      let cimg =
+        match compiled with Some c -> c | None -> Compile.compile_masm image
+      in
+      let linked = cimg.Compile.c_linked in
+      let spills = Array.make (max 1 linked.Link.l_max_spills) Value.Vunit in
+      (* per-process resolution of the linked image's function names:
+         [Some (Vfun i)] when the name is in the process's function table,
+         [None] otherwise (resolving then raises Invalid_function at USE
+         time, as the unlinked lookup does) *)
+      let fun_values =
+        Array.map
+          (fun (fn : Link.lfn) ->
+            match
+              Function_table.index_opt proc.Process.ftable fn.Link.l_name
+            with
+            | Some i -> Some (Value.Vfun i)
+            | None -> None)
+          linked.Link.l_fns
+      in
+      let st =
+        {
+          Compile.regs;
+          spills;
+          itmps = Array.make cimg.Compile.c_tmps 0;
+          ftmps = Array.make cimg.Compile.c_tmps 0.0;
+          proc;
+          heap = proc.Process.heap;
+          fun_values;
+          extern = Extern.base;
+          acc = 0;
+          nins = 0;
+          pc = 0;
+        }
+      in
+      Closures { cimg; st; last_name = ""; last_idx = -1 }
   in
-  let linked =
-    match compiled, linked with
-    | Some c, _ -> c.Compile.c_linked
-    | None, Some l -> l
-    | None, None -> Link.link image
-  in
-  let fun_values =
-    Array.map
-      (fun (fn : Link.lfn) ->
-        match
-          Function_table.index_opt proc.Process.ftable fn.Link.l_name
-        with
-        | Some i -> Some (Value.Vfun i)
-        | None -> None)
-      linked.Link.l_fns
-  in
-  let frame =
-    {
-      regs = Array.make proc.Process.arch.Arch.registers Value.Vunit;
-      spills = Array.make (max 1 linked.Link.l_max_spills) Value.Vunit;
-    }
-  in
-  let tmp_slots =
-    match compiled with Some c -> c.Compile.c_tmps | None -> 1
-  in
-  {
-    image;
-    linked;
-    compiled;
-    (* the compiled state shares the frame's arrays: modes never mix
-       within one emulator, and only Baseline re-allocates spills *)
-    cstate =
-      {
-        Compile.regs = frame.regs;
-        spills = frame.spills;
-        itmps = Array.make tmp_slots 0;
-        ftmps = Array.make tmp_slots 0.0;
-        proc;
-        heap = proc.Process.heap;
-        fun_values;
-        extern = Extern.base;
-        acc = 0;
-        nins = 0;
-        pc = 0;
-      };
-    proc;
-    frame;
-    mode;
-    fun_values;
-    last_name = "";
-    last_idx = -1;
-    instrs = 0;
-  }
+  { image; proc; tier; instrs = 0 }
 
 let instructions t = t.instrs
 
@@ -150,18 +128,18 @@ let instructions t = t.instrs
 (* Baseline mode: the pre-optimization loop                            *)
 (* ------------------------------------------------------------------ *)
 
-let get_slot t = function
-  | Masm.Reg r -> t.frame.regs.(r)
+let get_slot t fr = function
+  | Masm.Reg r -> fr.regs.(r)
   | Masm.Spill s ->
     Process.charge t.proc Arch.Mem;
-    t.frame.spills.(s)
+    fr.spills.(s)
 
-let set_slot t slot v =
+let set_slot t fr slot v =
   match slot with
-  | Masm.Reg r -> t.frame.regs.(r) <- v
+  | Masm.Reg r -> fr.regs.(r) <- v
   | Masm.Spill s ->
     Process.charge t.proc Arch.Mem;
-    t.frame.spills.(s) <- v
+    fr.spills.(s) <- v
 
 let imm_value t = function
   | Masm.Iunit -> Value.Vunit
@@ -172,12 +150,12 @@ let imm_value t = function
   | Masm.Ifun f -> Process.fun_value t.proc f
   | Masm.Inil -> Interp.nil_value
 
-let operand t = function
-  | Masm.Slot s -> get_slot t s
+let operand t fr = function
+  | Masm.Slot s -> get_slot t fr s
   | Masm.Imm i -> imm_value t i
 
 (* Install a continuation's arguments into a fresh frame for [fname]. *)
-let enter_function t fname args =
+let enter_function t fr fname args =
   let fn =
     match Masm.fn t.image fname with
     | Some fn -> fn
@@ -193,18 +171,18 @@ let enter_function t fname args =
   if not (same_length (fn.Masm.fn_params, args)) then
     raise
       (Emulator_error (Printf.sprintf "arity mismatch calling %s" fname));
-  t.frame.spills <- Array.make (max 1 fn.Masm.fn_spills) Value.Vunit;
-  Array.fill t.frame.regs 0 (Array.length t.frame.regs) Value.Vunit;
-  List.iter2 (fun slot v -> set_slot t slot v) fn.Masm.fn_params args;
+  fr.spills <- Array.make (max 1 fn.Masm.fn_spills) Value.Vunit;
+  Array.fill fr.regs 0 (Array.length fr.regs) Value.Vunit;
+  List.iter2 (fun slot v -> set_slot t fr slot v) fn.Masm.fn_params args;
   fn
 
 (* Execute one basic block against the unlinked image (mirrors
    Interp.step).  [nins] counts retired instructions for the meter. *)
-let exec_baseline t extern nins =
+let exec_baseline t fr extern nins =
   let proc = t.proc in
   let heap = proc.Process.heap in
   let fname, args = proc.Process.cont in
-  let fn = enter_function t fname args in
+  let fn = enter_function t fr fname args in
   Process.charge proc Arch.Call_ret;
   let code = fn.Masm.fn_code in
   let pc = ref 0 in
@@ -218,54 +196,54 @@ let exec_baseline t extern nins =
     match i with
     | Masm.Mov (d, a) ->
       Process.charge proc Arch.Alu;
-      set_slot t d (operand t a)
+      set_slot t fr d (operand t fr a)
     | Masm.Cast (d, ty, a) ->
       Process.charge proc Arch.Alu;
-      set_slot t d (Interp.cast_check ty (operand t a))
+      set_slot t fr d (Interp.cast_check ty (operand t fr a))
     | Masm.Unop (o, d, a) ->
       Process.charge proc Arch.Alu;
-      set_slot t d (Interp.eval_unop o (operand t a))
+      set_slot t fr d (Interp.eval_unop o (operand t fr a))
     | Masm.Binop (o, d, a, b) ->
       Process.charge proc Arch.Alu;
-      set_slot t d (Interp.eval_binop o (operand t a) (operand t b))
+      set_slot t fr d (Interp.eval_binop o (operand t fr a) (operand t fr b))
     | Masm.Alloc_tuple (d, fields) ->
       Process.charge proc Arch.Trap;
-      let idx = Heap.alloc_tuple heap (List.map (operand t) fields) in
-      set_slot t d (Value.Vptr (idx, 0))
+      let idx = Heap.alloc_tuple heap (List.map (operand t fr) fields) in
+      set_slot t fr d (Value.Vptr (idx, 0))
     | Masm.Alloc_array (d, n, init) ->
       Process.charge proc Arch.Trap;
-      let size = Interp.as_int (operand t n) in
+      let size = Interp.as_int (operand t fr n) in
       if size < 0 then raise (Interp.Trap "negative array size");
       let idx =
-        Heap.alloc heap ~tag:Heap.Array ~size ~init:(operand t init)
+        Heap.alloc heap ~tag:Heap.Array ~size ~init:(operand t fr init)
       in
-      set_slot t d (Value.Vptr (idx, 0))
+      set_slot t fr d (Value.Vptr (idx, 0))
     | Masm.Alloc_string (d, s) ->
       Process.charge proc Arch.Trap;
-      set_slot t d (Value.Vptr (Heap.alloc_raw heap s, 0))
+      set_slot t fr d (Value.Vptr (Heap.alloc_raw heap s, 0))
     | Masm.Load (d, p, dyn, k) ->
       Process.charge proc Arch.Mem;
-      let idx, off = Interp.as_ptr (operand t p) in
-      let dyn = Interp.as_int (operand t dyn) in
-      set_slot t d (Heap.read heap idx (off + dyn + k))
+      let idx, off = Interp.as_ptr (operand t fr p) in
+      let dyn = Interp.as_int (operand t fr dyn) in
+      set_slot t fr d (Heap.read heap idx (off + dyn + k))
     | Masm.Store (p, dyn, k, v) ->
       Process.charge proc Arch.Mem;
-      let idx, off = Interp.as_ptr (operand t p) in
-      let dyn = Interp.as_int (operand t dyn) in
-      Heap.write heap idx (off + dyn + k) (operand t v)
+      let idx, off = Interp.as_ptr (operand t fr p) in
+      let dyn = Interp.as_int (operand t fr dyn) in
+      Heap.write heap idx (off + dyn + k) (operand t fr v)
     | Masm.Ext (d, name, args) ->
       Process.charge proc Arch.Trap;
-      set_slot t d (extern proc name (List.map (operand t) args))
+      set_slot t fr d (extern proc name (List.map (operand t fr) args))
     | Masm.Jmp target ->
       Process.charge proc Arch.Branch;
       pc := target
     | Masm.Jz (c, target) ->
       Process.charge proc Arch.Branch;
-      if not (Interp.as_bool (operand t c)) then pc := target
+      if not (Interp.as_bool (operand t fr c)) then pc := target
     | Masm.Switch (v, cases, default) ->
       Process.charge proc Arch.Branch;
       let n =
-        match operand t v with
+        match operand t fr v with
         | Value.Vint n | Value.Venum (_, n) -> n
         | v ->
           raise (Interp.Trap ("switch on non-integer " ^ Value.to_string v))
@@ -276,253 +254,34 @@ let exec_baseline t extern nins =
         | None -> default)
     | Masm.Tail_call (f, args) ->
       Process.charge proc Arch.Call_ret;
-      let name = Process.fun_name proc (operand t f) in
-      proc.Process.cont <- name, List.map (operand t) args;
+      let name = Process.fun_name proc (operand t fr f) in
+      proc.Process.cont <- name, List.map (operand t fr) args;
       running := false
     | Masm.Exit v ->
       Process.charge proc Arch.Call_ret;
-      proc.Process.status <- Process.Exited (Interp.as_int (operand t v));
+      proc.Process.status <- Process.Exited (Interp.as_int (operand t fr v));
       running := false
     | Masm.Migrate (label, dst, f, args) ->
       Process.do_migrate proc ~label
-        ~target:(Interp.target_string proc (operand t dst))
-        ~entry:(Process.fun_name proc (operand t f))
-        ~args:(List.map (operand t) args);
+        ~target:(Interp.target_string proc (operand t fr dst))
+        ~entry:(Process.fun_name proc (operand t fr f))
+        ~args:(List.map (operand t fr) args);
       running := false
     | Masm.Speculate (f, args) ->
       Process.do_speculate proc
-        ~entry:(Process.fun_name proc (operand t f))
-        ~args:(List.map (operand t) args);
+        ~entry:(Process.fun_name proc (operand t fr f))
+        ~args:(List.map (operand t fr) args);
       running := false
     | Masm.Commit (l, f, args) ->
       Process.do_commit proc
-        ~level:(Interp.as_int (operand t l))
-        ~entry:(Process.fun_name proc (operand t f))
-        ~args:(List.map (operand t) args);
+        ~level:(Interp.as_int (operand t fr l))
+        ~entry:(Process.fun_name proc (operand t fr f))
+        ~args:(List.map (operand t fr) args);
       running := false
     | Masm.Rollback (l, c) ->
       Process.do_rollback proc
-        ~level:(Interp.as_int (operand t l))
-        ~code:(Interp.as_int (operand t c));
-      running := false
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Fast mode: the pre-resolved loop                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Resolve a continuation name to its linked function.  The hot case —
-   a static tail call that installed the image's own (physically
-   shared) name — is one pointer comparison. *)
-let resolve_idx t fname =
-  if fname == t.last_name && t.last_idx >= 0 then t.last_idx
-  else
-    match Hashtbl.find_opt t.linked.Link.l_index fname with
-    | Some i ->
-      t.last_name <- fname;
-      t.last_idx <- i;
-      i
-    | None -> raise (Emulator_error ("no compiled code for " ^ fname))
-
-let resolve t fname = t.linked.Link.l_fns.(resolve_idx t fname)
-
-(* Fetch a resolved operand; the spill cost is in the static cost
-   table, so this is charge-free. *)
-let rop_value t regs spills = function
-  | Link.Rreg r -> (regs : Value.t array).(r)
-  | Link.Rspill s -> (spills : Value.t array).(s)
-  | Link.Rval v -> v
-  | Link.Rfun i -> (
-    match t.fun_values.(i) with
-    | Some v -> v
-    | None ->
-      (* not in the process's function table: raise the same
-         Invalid_function the per-use lookup raised *)
-      Process.fun_value t.proc t.linked.Link.l_fns.(i).Link.l_name)
-  | Link.Rfunname name -> Process.fun_value t.proc name
-
-(* Values of an operand array as a list (continuation arguments, extern
-   arguments, tuple fields): one result list, no intermediate. *)
-let rop_values t regs spills (a : Link.rop array) =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) (rop_value t regs spills a.(i) :: acc)
-  in
-  go (Array.length a - 1) []
-
-let flush proc acc =
-  if !acc <> 0 then begin
-    Process.charge_cycles proc !acc;
-    acc := 0
-  end
-
-(* Execute one basic block against the linked image.  [acc] holds the
-   pending static cycle charges; the caller flushes it on ANY exit. *)
-let exec_fast t extern acc nins =
-  let proc = t.proc in
-  let heap = proc.Process.heap in
-  let fname, args = proc.Process.cont in
-  let fn = resolve t fname in
-  let params = fn.Link.l_params in
-  let nparams = Array.length params in
-  (* single-pass arity check against the parameter array *)
-  let rec count_is l n =
-    match l with
-    | [] -> n = 0
-    | _ :: rest -> n > 0 && count_is rest (n - 1)
-  in
-  if not (count_is args nparams) then
-    raise (Emulator_error (Printf.sprintf "arity mismatch calling %s" fname));
-  let regs = t.frame.regs and spills = t.frame.spills in
-  (* clear only the slots this function can read *)
-  if fn.Link.l_regs_used > 0 then Array.fill regs 0 fn.Link.l_regs_used Value.Vunit;
-  if fn.Link.l_spills > 0 then Array.fill spills 0 fn.Link.l_spills Value.Vunit;
-  (* install parameters (spill traffic pre-folded into l_entry_cost) *)
-  let rec install i = function
-    | [] -> ()
-    | v :: rest ->
-      (match params.(i) with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v);
-      install (i + 1) rest
-  in
-  install 0 args;
-  acc := !acc + fn.Link.l_entry_cost;
-  let code = fn.Link.l_code and cost = fn.Link.l_cost in
-  let len = Array.length code in
-  let pc = ref 0 in
-  let running = ref true in
-  while !running do
-    let p = !pc in
-    if p < 0 || p >= len then
-      raise (Emulator_error "program counter out of range");
-    pc := p + 1;
-    incr nins;
-    acc := !acc + cost.(p);
-    match code.(p) with
-    | Link.Lmov (d, a) -> (
-      let v = rop_value t regs spills a in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lbinop (o, d, a, b) -> (
-      let v =
-        Interp.eval_binop o
-          (rop_value t regs spills a)
-          (rop_value t regs spills b)
-      in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lunop (o, d, a) -> (
-      let v = Interp.eval_unop o (rop_value t regs spills a) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lcast (d, ty, a) -> (
-      let v = Interp.cast_check ty (rop_value t regs spills a) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Ljz (c, target) ->
-      if not (Interp.as_bool (rop_value t regs spills c)) then pc := target
-    | Link.Ljmp target -> pc := target
-    | Link.Lswitch (v, keys, targets, default) ->
-      let n =
-        match rop_value t regs spills v with
-        | Value.Vint n | Value.Venum (_, n) -> n
-        | v ->
-          raise (Interp.Trap ("switch on non-integer " ^ Value.to_string v))
-      in
-      (* binary search over the sorted case keys *)
-      let lo = ref 0 and hi = ref (Array.length keys - 1) in
-      let target = ref default in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let k = Array.unsafe_get keys mid in
-        if k = n then begin
-          target := Array.unsafe_get targets mid;
-          lo := !hi + 1
-        end
-        else if k < n then lo := mid + 1
-        else hi := mid - 1
-      done;
-      pc := !target
-    | Link.Lload (d, p, dyn, k) -> (
-      let idx, off = Interp.as_ptr (rop_value t regs spills p) in
-      let dyn = Interp.as_int (rop_value t regs spills dyn) in
-      let v = Heap.read heap idx (off + dyn + k) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lstore (p, dyn, k, v) ->
-      let idx, off = Interp.as_ptr (rop_value t regs spills p) in
-      let dyn = Interp.as_int (rop_value t regs spills dyn) in
-      Heap.write heap idx (off + dyn + k) (rop_value t regs spills v)
-    | Link.Lalloc_tuple (d, fields) -> (
-      let idx = Heap.alloc_tuple heap (rop_values t regs spills fields) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- Value.Vptr (idx, 0)
-      | Masm.Spill s -> spills.(s) <- Value.Vptr (idx, 0))
-    | Link.Lalloc_array (d, n, init) -> (
-      let size = Interp.as_int (rop_value t regs spills n) in
-      if size < 0 then raise (Interp.Trap "negative array size");
-      let idx =
-        Heap.alloc heap ~tag:Heap.Array ~size
-          ~init:(rop_value t regs spills init)
-      in
-      match d with
-      | Masm.Reg r -> regs.(r) <- Value.Vptr (idx, 0)
-      | Masm.Spill s -> spills.(s) <- Value.Vptr (idx, 0))
-    | Link.Lalloc_string (d, s) -> (
-      let idx = Heap.alloc_raw heap s in
-      match d with
-      | Masm.Reg r -> regs.(r) <- Value.Vptr (idx, 0)
-      | Masm.Spill s -> spills.(s) <- Value.Vptr (idx, 0))
-    | Link.Lext (d, name, args, post) -> (
-      let args = rop_values t regs spills args in
-      (* the extern observes proc.cycles (simulated time, message
-         stamps): everything charged so far must be visible *)
-      flush proc acc;
-      let v = extern proc name args in
-      acc := !acc + post;
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Ltail (f, args) ->
-      let callee = rop_value t regs spills f in
-      let args = rop_values t regs spills args in
-      let name = Process.fun_name proc callee in
-      proc.Process.cont <- name, args;
-      running := false
-    | Link.Lexit v ->
-      proc.Process.status <-
-        Process.Exited (Interp.as_int (rop_value t regs spills v));
-      running := false
-    | Link.Lmigrate (label, dst, f, args) ->
-      let target = Interp.target_string proc (rop_value t regs spills dst) in
-      let entry = Process.fun_name proc (rop_value t regs spills f) in
-      let args = rop_values t regs spills args in
-      flush proc acc;
-      Process.do_migrate proc ~label ~target ~entry ~args;
-      running := false
-    | Link.Lspeculate (f, args) ->
-      let entry = Process.fun_name proc (rop_value t regs spills f) in
-      let args = rop_values t regs spills args in
-      flush proc acc;
-      Process.do_speculate proc ~entry ~args;
-      running := false
-    | Link.Lcommit (l, f, args) ->
-      let level = Interp.as_int (rop_value t regs spills l) in
-      let entry = Process.fun_name proc (rop_value t regs spills f) in
-      let args = rop_values t regs spills args in
-      flush proc acc;
-      Process.do_commit proc ~level ~entry ~args;
-      running := false
-    | Link.Lrollback (l, c) ->
-      let level = Interp.as_int (rop_value t regs spills l) in
-      let code = Interp.as_int (rop_value t regs spills c) in
-      flush proc acc;
-      Process.do_rollback proc ~level ~code;
+        ~level:(Interp.as_int (operand t fr l))
+        ~code:(Interp.as_int (operand t fr c));
       running := false
   done
 
@@ -530,17 +289,36 @@ let exec_fast t extern acc nins =
 (* Compiled mode: the closure-threaded loop                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Resolve a continuation name to its linked function index.  The hot
+   case — a static tail call that installed the image's own (physically
+   shared) name — is one pointer comparison. *)
+let resolve_idx c fname =
+  if fname == c.last_name && c.last_idx >= 0 then c.last_idx
+  else
+    match Hashtbl.find_opt c.cimg.Compile.c_linked.Link.l_index fname with
+    | Some i ->
+      c.last_name <- fname;
+      c.last_idx <- i;
+      i
+    | None -> raise (Emulator_error ("no compiled code for " ^ fname))
+
+let flush proc acc =
+  if !acc <> 0 then begin
+    Process.charge_cycles proc !acc;
+    acc := 0
+  end
+
 (* Execute one basic block of the closure-compiled image.  Block entry
    (resolve, arity check, frame clear, parameter install, entry cost)
-   mirrors [exec_fast]; the instruction loop is pure dispatch.  The
+   is the linked function's; the instruction loop is pure dispatch.  The
    [unsafe_get] is safe by construction: Compile only ever emits next
    pcs inside [0, len] (out-of-range static targets are remapped to the
    raising sentinel at [len]), and negative returns exit the loop. *)
-let exec_compiled t (cimg : Compile.image) extern acc nins =
-  let proc = t.proc in
-  let fname, args = proc.Process.cont in
-  let idx = resolve_idx t fname in
-  let fn = t.linked.Link.l_fns.(idx) in
+let exec_compiled c extern acc nins =
+  let st = c.st in
+  let fname, args = st.Compile.proc.Process.cont in
+  let idx = resolve_idx c fname in
+  let fn = c.cimg.Compile.c_linked.Link.l_fns.(idx) in
   let params = fn.Link.l_params in
   let nparams = Array.length params in
   let rec count_is l n =
@@ -550,11 +328,11 @@ let exec_compiled t (cimg : Compile.image) extern acc nins =
   in
   if not (count_is args nparams) then
     raise (Emulator_error (Printf.sprintf "arity mismatch calling %s" fname));
-  let st = t.cstate in
   let regs = st.Compile.regs and spills = st.Compile.spills in
-  let cfn = cimg.Compile.c_fns.(idx) in
-  (* definite-assignment analysis shrank the Fast-mode window fills to
-     the slots that may actually be read before being written *)
+  let cfn = c.cimg.Compile.c_fns.(idx) in
+  (* definite-assignment analysis shrank the linked function's clear
+     windows to the slots that may actually be read before being
+     written *)
   let clr = cfn.Compile.cf_clear_regs in
   for i = 0 to Array.length clr - 1 do
     regs.(Array.unsafe_get clr i) <- Value.Vunit
@@ -605,13 +383,9 @@ let step ?(extern = Extern.base) t =
     let acc = ref 0 in
     let nins = ref 0 in
     match
-      match t.mode with
-      | Compiled -> (
-        match t.compiled with
-        | Some c -> exec_compiled t c extern acc nins
-        | None -> assert false (* create establishes the invariant *))
-      | Fast -> exec_fast t extern acc nins
-      | Baseline -> exec_baseline t extern nins
+      match t.tier with
+      | Closures c -> exec_compiled c extern acc nins
+      | Loop fr -> exec_baseline t fr extern nins
     with
     | () ->
       flush proc acc;

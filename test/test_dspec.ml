@@ -45,54 +45,12 @@ let exit_code cluster pid =
 (* Trace audit: zero partial commits                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The audit the bench's F5 acceptance relies on, exercised here at
-   test scale: (1) no transaction both commits and aborts; (2) every
-   abort decided by a LIVE coordinator (fence / crash_in_commit) is
-   followed by that coordinator's own region rollback; (3) every abort
-   is followed by mailbox compensation for its transaction. *)
+(* The audit the bench's F5 acceptance relies on (Net.Dspec.audit),
+   exercised here at test scale. *)
 let audit_no_partial_commits events =
-  (* one pass collects the evidence: per pid the latest rollback time,
-     and the compensated txn ids *)
-  let committed = Hashtbl.create 16 and aborted = Hashtbl.create 16 in
-  let last_rollback = Hashtbl.create 16 and compensated = Hashtbl.create 16 in
-  let live_aborts = ref [] in
-  List.iter
-    (fun (ev : Obs.Trace.event) ->
-      match ev.Obs.Trace.kind with
-      | Obs.Trace.Dspec_commit { txn; _ } -> Hashtbl.replace committed txn ()
-      | Obs.Trace.Dspec_abort { txn; reason; _ } ->
-        Hashtbl.replace aborted txn ();
-        if reason = "fence" || reason = "crash_in_commit" then
-          live_aborts := (ev, txn, reason) :: !live_aborts
-      | Obs.Trace.Spec_rollback _ ->
-        let t = ev.Obs.Trace.time in
-        (match Hashtbl.find_opt last_rollback ev.Obs.Trace.pid with
-        | Some t0 when t0 >= t -> ()
-        | _ -> Hashtbl.replace last_rollback ev.Obs.Trace.pid t)
-      | Obs.Trace.Dspec_compensate { txn; _ } ->
-        Hashtbl.replace compensated txn ()
-      | _ -> ())
-    events;
-  Hashtbl.iter
-    (fun txn () ->
-      if Hashtbl.mem committed txn then
-        Alcotest.failf "partial commit: txn %d both committed and aborted"
-          txn)
-    aborted;
-  List.iter
-    (fun ((ev : Obs.Trace.event), txn, reason) ->
-      let rolled =
-        match Hashtbl.find_opt last_rollback ev.Obs.Trace.pid with
-        | Some t -> t >= ev.Obs.Trace.time
-        | None -> false
-      in
-      if not rolled then
-        Alcotest.failf
-          "txn %d aborted (%s) but coordinator pid %d never rolled back"
-          txn reason ev.Obs.Trace.pid;
-      if not (Hashtbl.mem compensated txn) then
-        Alcotest.failf "txn %d aborted without mailbox compensation" txn)
-    (List.rev !live_aborts)
+  match Net.Dspec.audit events with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
 
 let abort_reasons events =
   List.filter_map
