@@ -1647,6 +1647,22 @@ let read_lines path =
     go []
   end
 
+(* One BENCH row: a one-line JSON object with the fields in the given
+   order.  [F (d, x)] prints [x] with [d] decimals, so each row keeps the
+   precision its committed baseline was written with. *)
+type field = S of string | I of int | F of int * float
+
+let row fields =
+  let value = function
+    | S s -> Printf.sprintf "\"%s\"" s
+    | I n -> string_of_int n
+    | F (d, x) -> Printf.sprintf "%.*f" d x
+  in
+  "{"
+  ^ String.concat ","
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (value v)) fields)
+  ^ "}"
+
 (* --- S1 ----------------------------------------------------------- *)
 
 (* One side of a ping-pong pair: [starts = 1] sends first.  The poll
@@ -1778,12 +1794,11 @@ let s1_measure ?(iters = 3) case ~legacy =
   q0, r0, walls.(iters / 2), sim0
 
 let s1_row case ~mode ~quanta ~rounds ~wall_s ~sim_s =
-  Printf.sprintf
-    "{\"bench\":\"s1\",\"case\":\"%s\",\"mode\":\"%s\",\
-     \"quanta\":%d,\"rounds\":%d,\"wall_s\":%.6f,\"sim_s\":%.6f,\
-     \"events_per_sec\":%.1f}"
-    case.s1_name mode quanta rounds wall_s sim_s
-    (float_of_int quanta /. wall_s)
+  row
+    [ "bench", S "s1"; "case", S case.s1_name; "mode", S mode;
+      "quanta", I quanta; "rounds", I rounds; "wall_s", F (6, wall_s);
+      "sim_s", F (6, sim_s);
+      "events_per_sec", F (1, float_of_int quanta /. wall_s) ]
 
 (* rows + per-case (name, scan events/sec, indexed events/sec) *)
 let s1_results () =
@@ -1923,20 +1938,19 @@ let v1_interp ?(iters = 3) fir =
   samples.(iters / 2)
 
 let v1_row ~case ~mode ~instrs ~wall_s =
-  Printf.sprintf
-    "{\"bench\":\"v1\",\"case\":\"%s\",\"mode\":\"%s\",\"instrs\":%d,\
-     \"wall_s\":%.6f,\"mips\":%.3f}"
-    case mode instrs wall_s
-    (float_of_int instrs /. wall_s /. 1e6)
+  row
+    [ "bench", S "v1"; "case", S case; "mode", S mode; "instrs", I instrs;
+      "wall_s", F (6, wall_s);
+      "mips", F (3, float_of_int instrs /. wall_s /. 1e6) ]
 
 (* one-time translation cost row.  wall_s is the combined link+compile
    time (perfcheck's row parser requires the field on every row; the
    translate mode never participates in a ratio pair). *)
 let v1_translate_row ~case ~link_ms ~compile_ms =
-  Printf.sprintf
-    "{\"bench\":\"v1\",\"case\":\"%s\",\"mode\":\"translate\",\"instrs\":0,\
-     \"wall_s\":%.6f,\"mips\":0.000,\"link_ms\":%.3f,\"compile_ms\":%.3f}"
-    case ((link_ms +. compile_ms) /. 1000.) link_ms compile_ms
+  row
+    [ "bench", S "v1"; "case", S case; "mode", S "translate"; "instrs", I 0;
+      "wall_s", F (6, (link_ms +. compile_ms) /. 1000.); "mips", F (3, 0.0);
+      "link_ms", F (3, link_ms); "compile_ms", F (3, compile_ms) ]
 
 let v1_results () =
   List.map
@@ -2053,16 +2067,15 @@ let t1_run ~seed ~migrate =
 
 let t1_row s =
   let r = s.t1_report in
-  Printf.sprintf
-    "{\"bench\":\"t1\",\"case\":\"%s\",\"mode\":\"%s\",\
-     \"requests\":%d,\"migrations\":%d,\"forwarded\":%d,\
-     \"rebinds\":%d,\"p50_ms\":%.4f,\"p90_ms\":%.4f,\"p99_ms\":%.4f,\
-     \"mean_ms\":%.4f,\"wall_s\":%.6f,\"sim_s\":%.6f,\
-     \"req_per_sec\":%.1f}"
-    s.t1_case s.t1_mode r.Mcc.Gridapp.Serve.rp_requests r.rp_migrations
-    r.rp_forwarded r.rp_rebinds r.rp_p50_ms r.rp_p90_ms r.rp_p99_ms
-    r.rp_mean_ms s.t1_wall s.t1_sim
-    (float_of_int r.rp_requests /. s.t1_wall)
+  row
+    [ "bench", S "t1"; "case", S s.t1_case; "mode", S s.t1_mode;
+      "requests", I r.Mcc.Gridapp.Serve.rp_requests;
+      "migrations", I r.rp_migrations; "forwarded", I r.rp_forwarded;
+      "rebinds", I r.rp_rebinds; "p50_ms", F (4, r.rp_p50_ms);
+      "p90_ms", F (4, r.rp_p90_ms); "p99_ms", F (4, r.rp_p99_ms);
+      "mean_ms", F (4, r.rp_mean_ms); "wall_s", F (6, s.t1_wall);
+      "sim_s", F (6, s.t1_sim);
+      "req_per_sec", F (1, float_of_int r.rp_requests /. s.t1_wall) ]
 
 let t1_results () =
   List.concat_map
@@ -2207,16 +2220,14 @@ let t2_run ~seed ~policy =
 
 let t2_row s =
   let r = s.t2_report in
-  Printf.sprintf
-    "{\"bench\":\"t2\",\"case\":\"%s\",\"mode\":\"%s\",\
-     \"requests\":%d,\"ticks\":%d,\"proposals\":%d,\"moves\":%d,\
-     \"spread\":%.6f,\"last_move_s\":%.6f,\"p50_ms\":%.4f,\
-     \"p99_ms\":%.4f,\"wall_s\":%.6f,\"sim_s\":%.6f,\
-     \"req_per_sim_sec\":%.1f}"
-    s.t2_case s.t2_mode r.Mcc.Gridapp.Serve.rp_requests s.t2_ticks
-    s.t2_proposals s.t2_moves s.t2_spread s.t2_last_move r.rp_p50_ms
-    r.rp_p99_ms s.t2_wall s.t2_sim
-    (float_of_int r.Mcc.Gridapp.Serve.rp_requests /. s.t2_sim)
+  row
+    [ "bench", S "t2"; "case", S s.t2_case; "mode", S s.t2_mode;
+      "requests", I r.Mcc.Gridapp.Serve.rp_requests; "ticks", I s.t2_ticks;
+      "proposals", I s.t2_proposals; "moves", I s.t2_moves;
+      "spread", F (6, s.t2_spread); "last_move_s", F (6, s.t2_last_move);
+      "p50_ms", F (4, r.rp_p50_ms); "p99_ms", F (4, r.rp_p99_ms);
+      "wall_s", F (6, s.t2_wall); "sim_s", F (6, s.t2_sim);
+      "req_per_sim_sec", F (1, float_of_int r.rp_requests /. s.t2_sim) ]
 
 let t2_results () =
   List.concat_map
@@ -2397,16 +2408,16 @@ let f5_run
 
 let f5_row s =
   let r = s.f5_report in
-  Printf.sprintf
-    "{\"bench\":\"f5\",\"case\":\"%s\",\"mode\":\"%s\",\
-     \"requests\":%d,\"migrations\":%d,\"opened\":%d,\"prepares\":%d,\
-     \"commits\":%d,\"aborts\":%d,\"fence_rejections\":%d,\
-     \"compensated\":%d,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\
-     \"wall_s\":%.6f,\"sim_s\":%.6f,\"req_per_sim_sec\":%.1f}"
-    s.f5_case s.f5_mode r.Mcc.Gridapp.Serve.rp_requests r.rp_migrations
-    s.f5_opened s.f5_prepares s.f5_commits s.f5_aborts s.f5_fences
-    s.f5_compensated r.rp_p50_ms r.rp_p99_ms s.f5_wall s.f5_sim
-    (float_of_int r.Mcc.Gridapp.Serve.rp_requests /. s.f5_sim)
+  row
+    [ "bench", S "f5"; "case", S s.f5_case; "mode", S s.f5_mode;
+      "requests", I r.Mcc.Gridapp.Serve.rp_requests;
+      "migrations", I r.rp_migrations; "opened", I s.f5_opened;
+      "prepares", I s.f5_prepares; "commits", I s.f5_commits;
+      "aborts", I s.f5_aborts; "fence_rejections", I s.f5_fences;
+      "compensated", I s.f5_compensated; "p50_ms", F (4, r.rp_p50_ms);
+      "p99_ms", F (4, r.rp_p99_ms); "wall_s", F (6, s.f5_wall);
+      "sim_s", F (6, s.f5_sim);
+      "req_per_sim_sec", F (1, float_of_int r.rp_requests /. s.f5_sim) ]
 
 let f5_results () =
   List.concat_map

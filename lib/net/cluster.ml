@@ -746,22 +746,48 @@ let fence t (e : entry) ~what =
            e.epoch current));
   e.proc.Process.waiting <- false
 
+(* What a builtin returns to a stale incarnation: it is fenced, and the
+   program sees MSG_ROLL. *)
+let stale_reply t (e : entry) ~what =
+  fence t e ~what;
+  Value.Vint msg_roll
+
+(* Move [rank] to its next incarnation epoch (every holder at the old
+   epoch becomes stale) and return the new epoch. *)
+let bump_epoch t rank =
+  let epoch = rank_epoch t rank + 1 in
+  Hashtbl.replace t.epochs rank epoch;
+  epoch
+
+(* Abort a distributed transaction, traced against [e]. *)
+let abort_txn t (e : entry) (txn : Dspec.txn) ~reason =
+  Dspec.abort t.dspec txn ~reason;
+  emit_entry t e
+    (Obs.Trace.Dspec_abort
+       {
+         txn = txn.Dspec.x_id;
+         parts = List.rev_map (fun p -> p.Dspec.p_pid) txn.Dspec.x_parts;
+         reason;
+       })
+
 (* ------------------------------------------------------------------ *)
 (* Externs                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The (pid, uid)-keyed log at [key], created empty on first use: the
+   dependency table and both undo logs. *)
+let log_of tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> l
+  | None ->
+    let l = ref [] in
+    Hashtbl.add tbl key l;
+    l
 
 (* Record that [receiver] consumed a message sent from inside [sender]'s
    speculation: the receiver joins that speculation. *)
 let add_dependency t ~sender ~receiver =
-  let deps =
-    match Hashtbl.find_opt t.deps sender with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.add t.deps sender l;
-      l
-  in
+  let deps = log_of t.deps sender in
   if not (List.mem receiver !deps) then deps := receiver :: !deps;
   (* if the joined level is an open distributed transaction's root
      region, the receiver is now a participant: record it at its
@@ -776,8 +802,7 @@ let add_dependency t ~sender ~receiver =
     match entry_of_pid t (fst receiver) with
     | None -> ()
     | Some e ->
-      Dspec.register txn ~pid:(fst receiver)
-        ~rank:(match e.rank with Some r -> r | None -> -1)
+      Dspec.register txn ~pid:(fst receiver) ~rank:(entry_rank e)
         ~epoch:e.epoch)
   | Some _ -> ()
 
@@ -820,30 +845,26 @@ let rec force_rollback t ~pid ~uid ~code =
    discard un-delivered — the mailbox-compensation count a distributed
    abort reports. *)
 and cascade t ~sender_pid ~uids ~code =
-  (* undo the rolled-back levels' external object writes (newest level
-     first, so the oldest saved contents win) *)
+  (* undo the rolled-back levels' external object and file writes
+     (newest level first, so the oldest saved contents win) *)
+  let restore_undo :
+        'k 'v. (int * int, ('k * 'v) list ref) Hashtbl.t -> int ->
+        ('k -> 'v -> unit) -> unit =
+   fun table uid restore ->
+    match Hashtbl.find_opt table (sender_pid, uid) with
+    | None -> ()
+    | Some log ->
+      Hashtbl.remove table (sender_pid, uid);
+      List.iter (fun (k, old) -> restore k old) (List.rev !log)
+  in
   List.iter
     (fun uid ->
-      (match Hashtbl.find_opt t.obj_undo (sender_pid, uid) with
-      | None -> ()
-      | Some log ->
-        Hashtbl.remove t.obj_undo (sender_pid, uid);
-        List.iter
-          (fun (obj, old) ->
-            match old with
-            | Some bytes -> Hashtbl.replace t.obj_store obj bytes
-            | None -> Hashtbl.remove t.obj_store obj)
-          (List.rev !log));
-      match Hashtbl.find_opt t.fs_undo (sender_pid, uid) with
-      | None -> ()
-      | Some log ->
-        Hashtbl.remove t.fs_undo (sender_pid, uid);
-        List.iter
-          (fun (path, old) ->
-            match old with
-            | Some data -> ignore (Storage.write t.storage path data)
-            | None -> Storage.remove t.storage path)
-          (List.rev !log))
+      restore_undo t.obj_undo uid (fun obj -> function
+        | Some bytes -> Hashtbl.replace t.obj_store obj bytes
+        | None -> Hashtbl.remove t.obj_store obj);
+      restore_undo t.fs_undo uid (fun path -> function
+        | Some data -> ignore (Storage.write t.storage path data)
+        | None -> Storage.remove t.storage path))
     uids;
   let discarded =
     List.fold_left
@@ -917,7 +938,7 @@ let send_payload t (entry : entry) (proc : Process.t) ~dst_rank ~tag
     in
     let msg =
       {
-        Mpi.msg_src_rank = (match entry.rank with Some r -> r | None -> -1);
+        Mpi.msg_src_rank = entry_rank entry;
         msg_src_pid = proc.Process.pid;
         msg_tag = tag;
         msg_payload = payload;
@@ -997,42 +1018,81 @@ let purge_stale_traffic t (entry : entry) =
     end
   end
 
+let read_cells heap ptr len =
+  let idx, off = Vm.Interp.as_ptr ptr in
+  Array.init len (fun k -> Heap.read heap idx (off + k))
+
+let write_cells heap ptr payload n =
+  let idx, off = Vm.Interp.as_ptr ptr in
+  for k = 0 to n - 1 do
+    Heap.write heap idx (off + k) payload.(k)
+  done
+
+(* The receive builtins.  [src_rank] < 0 is the wildcard receive
+   (msg_try_recv_any): a mobile service cannot know its clients' ranks
+   ahead of time (and a client cannot know which rank its reply comes
+   from after the service moved), so it matches on tag alone.  Parking
+   records the requested source, and the scheduler wakes a wildcard
+   parker for any delivery with this tag. *)
+let recv t (entry : entry) (proc : Process.t) ~src_rank ~tag ptr ~maxlen =
+  if is_stale t entry then stale_reply t entry ~what:"recv"
+  else begin
+    purge_stale_traffic t entry;
+    let now = effective_now t proc in
+    match
+      if src_rank < 0 then Mpi.try_recv_any entry.mailbox ~now ~tag
+      else Mpi.try_recv entry.mailbox ~now ~src_rank ~tag
+    with
+    | Mpi.Roll ->
+      entry.parked_on <- None;
+      emit_entry t entry (Obs.Trace.Msg_roll { src = src_rank });
+      Value.Vint msg_roll
+    | Mpi.None_yet ->
+      proc.Process.waiting <- true;
+      entry.parked_on <- Some (src_rank, tag);
+      Value.Vint msg_none
+    | Mpi.Received m ->
+      entry.parked_on <- None;
+      let n = min maxlen (Array.length m.Mpi.msg_payload) in
+      (* an explicit receive matches its source, so the message's own
+         source rank is the one to report in both forms *)
+      emit_entry t entry
+        (Obs.Trace.Msg_recv { src = m.Mpi.msg_src_rank; tag; cells = n });
+      write_cells proc.Process.heap ptr m.Mpi.msg_payload n;
+      (match m.Mpi.msg_spec with
+      | Some (spid, uid) when spid <> proc.Process.pid ->
+        (* join the sender's speculation *)
+        let ruid =
+          match Spec.Engine.current_unique proc.Process.spec with
+          | Some u -> u
+          | None -> -1
+        in
+        add_dependency t ~sender:(spid, uid)
+          ~receiver:(proc.Process.pid, ruid)
+      | Some _ | None -> ());
+      Value.Vint n
+  end
+
 let cluster_extern t (entry : entry) : Process.handler =
  fun proc name args ->
   let heap = proc.Process.heap in
-  let read_cells ptr len =
-    let idx, off = Vm.Interp.as_ptr ptr in
-    Array.init len (fun k -> Heap.read heap idx (off + k))
-  in
-  let write_cells ptr payload n =
-    let idx, off = Vm.Interp.as_ptr ptr in
-    for k = 0 to n - 1 do
-      Heap.write heap idx (off + k) payload.(k)
-    done
-  in
   match name, args with
   | ("msg_send" | "msg_send_int"), [ Value.Vint dst_rank; Value.Vint tag;
                                      (Value.Vptr _ as ptr); Value.Vint len ]
     ->
     if len < 0 then raise (Process.Extern_failure "msg_send: negative length");
-    if is_stale t entry then begin
-      (* zombie incarnation: reject the send and halt the process *)
-      fence t entry ~what:"send";
-      Value.Vint msg_roll
-    end
+    (* a zombie incarnation's sends are rejected and the process halted *)
+    if is_stale t entry then stale_reply t entry ~what:"send"
     else
       send_payload t entry proc ~dst_rank ~tag
-        ~read_payload:(fun () -> read_cells ptr len)
+        ~read_payload:(fun () -> read_cells heap ptr len)
         ~extra_delay_s:0.0
   | "svc_send", [ Value.Vint laddr; Value.Vint tag; (Value.Vptr _ as ptr);
                   Value.Vint len ] -> (
     if len < 0 then raise (Process.Extern_failure "svc_send: negative length");
-    if is_stale t entry then begin
-      (* the registry never weakens fencing: a zombie's sends are
-         rejected exactly as rank-addressed ones are *)
-      fence t entry ~what:"send";
-      Value.Vint msg_roll
-    end
+    (* the registry never weakens fencing: a zombie's sends are
+       rejected exactly as rank-addressed ones are *)
+    if is_stale t entry then stale_reply t entry ~what:"send"
     else begin
       let now_s = effective_now t proc in
       (* due moved notices first: rebind before resolving, so a sender
@@ -1054,7 +1114,7 @@ let cluster_extern t (entry : entry) : Process.handler =
         match Registry.resolve t.registry ~now:now_s r with
         | Registry.Direct final ->
           send_payload t entry proc ~dst_rank:final ~tag
-            ~read_payload:(fun () -> read_cells ptr len)
+            ~read_payload:(fun () -> read_cells heap ptr len)
             ~extra_delay_s:0.0
         | Registry.Forwarded { final; hops } ->
           (* relay through the vacated rank(s): the message pays one
@@ -1072,7 +1132,7 @@ let cluster_extern t (entry : entry) : Process.handler =
             (now_s +. Simnet.message_seconds t.net 32, laddr, final)
             :: entry.notices;
           send_payload t entry proc ~dst_rank:final ~tag
-            ~read_payload:(fun () -> read_cells ptr len)
+            ~read_payload:(fun () -> read_cells heap ptr len)
             ~extra_delay_s:relay_s
         | Registry.Expired rank ->
           (* the forwarder is gone: typed error, never a silent drop.
@@ -1095,85 +1155,13 @@ let cluster_extern t (entry : entry) : Process.handler =
     Value.Vunit
   | ("msg_try_recv" | "msg_try_recv_int"),
     [ Value.Vint src_rank; Value.Vint tag; (Value.Vptr _ as ptr);
-      Value.Vint maxlen ] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"recv";
-      Value.Vint msg_roll
-    end
-    else begin
-    purge_stale_traffic t entry;
-    match
-      Mpi.try_recv entry.mailbox ~now:(effective_now t proc) ~src_rank ~tag
-    with
-    | Mpi.Roll ->
-      entry.parked_on <- None;
-      emit_entry t entry (Obs.Trace.Msg_roll { src = src_rank });
-      Value.Vint msg_roll
-    | Mpi.None_yet ->
-      proc.Process.waiting <- true;
-      entry.parked_on <- Some (src_rank, tag);
-      Value.Vint msg_none
-    | Mpi.Received m ->
-      entry.parked_on <- None;
-      let n = min maxlen (Array.length m.Mpi.msg_payload) in
-      emit_entry t entry
-        (Obs.Trace.Msg_recv { src = src_rank; tag; cells = n });
-      write_cells ptr m.Mpi.msg_payload n;
-      (match m.Mpi.msg_spec with
-      | Some (spid, uid) when spid <> proc.Process.pid ->
-        (* join the sender's speculation *)
-        let ruid =
-          match Spec.Engine.current_unique proc.Process.spec with
-          | Some u -> u
-          | None -> -1
-        in
-        add_dependency t ~sender:(spid, uid)
-          ~receiver:(proc.Process.pid, ruid)
-      | Some _ | None -> ());
-      Value.Vint n
-    end)
+      Value.Vint maxlen ] ->
+    recv t entry proc ~src_rank ~tag ptr ~maxlen
   | "msg_try_recv_any", [ Value.Vint tag; (Value.Vptr _ as ptr);
-                          Value.Vint maxlen ] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"recv";
-      Value.Vint msg_roll
-    end
-    else begin
-    purge_stale_traffic t entry;
-    (* wildcard receive: a mobile service cannot know its clients'
-       ranks ahead of time (and a client cannot know which rank its
-       reply comes from after the service moved), so it matches on tag
-       alone.  Parking records src -1: the scheduler wakes it for any
-       delivery with this tag. *)
-    match Mpi.try_recv_any entry.mailbox ~now:(effective_now t proc) ~tag with
-    | Mpi.Roll ->
-      entry.parked_on <- None;
-      emit_entry t entry (Obs.Trace.Msg_roll { src = -1 });
-      Value.Vint msg_roll
-    | Mpi.None_yet ->
-      proc.Process.waiting <- true;
-      entry.parked_on <- Some (-1, tag);
-      Value.Vint msg_none
-    | Mpi.Received m ->
-      entry.parked_on <- None;
-      let n = min maxlen (Array.length m.Mpi.msg_payload) in
-      emit_entry t entry
-        (Obs.Trace.Msg_recv { src = m.Mpi.msg_src_rank; tag; cells = n });
-      write_cells ptr m.Mpi.msg_payload n;
-      (match m.Mpi.msg_spec with
-      | Some (spid, uid) when spid <> proc.Process.pid ->
-        let ruid =
-          match Spec.Engine.current_unique proc.Process.spec with
-          | Some u -> u
-          | None -> -1
-        in
-        add_dependency t ~sender:(spid, uid)
-          ~receiver:(proc.Process.pid, ruid)
-      | Some _ | None -> ());
-      Value.Vint n
-    end)
+                          Value.Vint maxlen ] ->
+    recv t entry proc ~src_rank:(-1) ~tag ptr ~maxlen
   | "rank", [] ->
-    Value.Vint (match entry.rank with Some r -> r | None -> -1)
+    Value.Vint (entry_rank entry)
   | "sim_now_us", [] ->
     Value.Vint (int_of_float (effective_now t proc *. 1e6))
   | "fs_write", [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr);
@@ -1182,20 +1170,12 @@ let cluster_extern t (entry : entry) : Process.handler =
     (* a write from inside a speculation is undoable *)
     (match Spec.Engine.current_unique proc.Process.spec with
     | Some uid ->
-      let key = proc.Process.pid, uid in
-      let log =
-        match Hashtbl.find_opt t.fs_undo key with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add t.fs_undo key l;
-          l
-      in
+      let log = log_of t.fs_undo (proc.Process.pid, uid) in
       if not (List.mem_assoc path !log) then
         log :=
           (path, Option.map fst (Storage.read t.storage path)) :: !log
     | None -> ());
-    let cells = read_cells ptr k in
+    let cells = read_cells heap ptr k in
     let data =
       String.init k (fun i ->
           match cells.(i) with
@@ -1215,7 +1195,7 @@ let cluster_extern t (entry : entry) : Process.handler =
       let payload =
         Array.init n (fun i -> Value.Vint (Char.code data.[i]))
       in
-      write_cells ptr payload n;
+      write_cells heap ptr payload n;
       Value.Vint n)
   | "fs_size", [ (Value.Vptr _ as pathp) ] -> (
     let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
@@ -1235,7 +1215,7 @@ let cluster_extern t (entry : entry) : Process.handler =
         let payload =
           Array.init n (fun i -> Value.Vint (Char.code (Bytes.get data i)))
         in
-        write_cells ptr payload n;
+        write_cells heap ptr payload n;
         Value.Vint n
     end
   | "obj_write", [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] ->
@@ -1245,21 +1225,13 @@ let cluster_extern t (entry : entry) : Process.handler =
       (* a write from inside a speculation is undoable *)
       (match Spec.Engine.current_unique proc.Process.spec with
       | Some uid ->
-        let key = proc.Process.pid, uid in
-        let log =
-          match Hashtbl.find_opt t.obj_undo key with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.add t.obj_undo key l;
-            l
-        in
+        let log = log_of t.obj_undo (proc.Process.pid, uid) in
         if not (List.mem_assoc obj !log) then
           log :=
             (obj, Option.map Bytes.copy (Hashtbl.find_opt t.obj_store obj))
             :: !log
       | None -> ());
-      let cells = read_cells ptr k in
+      let cells = read_cells heap ptr k in
       let data =
         match Hashtbl.find_opt t.obj_store obj with
         | Some d when Bytes.length d >= k -> d
@@ -1275,10 +1247,7 @@ let cluster_extern t (entry : entry) : Process.handler =
       Value.Vint k
     end
   | "dspec_open", [] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"dspec";
-      Value.Vint msg_roll
-    end
+    if is_stale t entry then stale_reply t entry ~what:"dspec"
     else
       match Spec.Engine.current_unique proc.Process.spec with
       | None ->
@@ -1301,10 +1270,7 @@ let cluster_extern t (entry : entry) : Process.handler =
           (Obs.Trace.Dspec_open { txn = txn.Dspec.x_id; uid });
         Value.Vint txn.Dspec.x_id)
   | "dspec_commit", [ Value.Vint txn_id ] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"dspec";
-      Value.Vint msg_roll
-    end
+    if is_stale t entry then stale_reply t entry ~what:"dspec"
     else
       match Dspec.find t.dspec txn_id with
       | None ->
@@ -1334,10 +1300,7 @@ let cluster_extern t (entry : entry) : Process.handler =
             *. Simnet.message_seconds t.net 64
             *. float_of_int (max 1 (List.length parts)));
           let abort reason =
-            Dspec.abort t.dspec txn ~reason;
-            emit_entry t entry
-              (Obs.Trace.Dspec_abort
-                 { txn = txn_id; parts = part_pids; reason });
+            abort_txn t entry txn ~reason;
             (* the coordinator's own abort(level) follows in the program:
                its rollback cascade un-delivers the region's in-flight
                messages and rolls every joined participant back *)
@@ -1397,9 +1360,11 @@ let cluster_extern t (entry : entry) : Process.handler =
                        (List.length parts))
                 in
                 let stale_epoch = victim.Dspec.p_epoch in
-                if victim.Dspec.p_rank >= 0 then
-                  Hashtbl.replace t.epochs victim.Dspec.p_rank
-                    (rank_epoch t victim.Dspec.p_rank + 1);
+                let current_epoch =
+                  if victim.Dspec.p_rank >= 0 then
+                    bump_epoch t victim.Dspec.p_rank
+                  else stale_epoch + 1
+                in
                 (match entry_of_pid t victim.Dspec.p_pid with
                 | Some e -> (
                   match e.rank with
@@ -1413,10 +1378,7 @@ let cluster_extern t (entry : entry) : Process.handler =
                        txn = txn_id;
                        part_rank = victim.Dspec.p_rank;
                        stale_epoch;
-                       current_epoch =
-                         (if victim.Dspec.p_rank >= 0 then
-                            rank_epoch t victim.Dspec.p_rank
-                          else stale_epoch + 1);
+                       current_epoch;
                      });
                 abort "crash_in_commit"
               end
@@ -1559,16 +1521,7 @@ let register_entry t (entry : entry) =
         (fun uid ->
           match Dspec.open_with_root t.dspec ~coord_pid:pid ~root_uid:uid with
           | None -> ()
-          | Some txn ->
-            Dspec.abort t.dspec txn ~reason:"coordinator_rolled_back";
-            emit_entry t entry
-              (Obs.Trace.Dspec_abort
-                 {
-                   txn = txn.Dspec.x_id;
-                   parts =
-                     List.rev_map (fun p -> p.Dspec.p_pid) txn.Dspec.x_parts;
-                   reason = "coordinator_rolled_back";
-                 }))
+          | Some txn -> abort_txn t entry txn ~reason:"coordinator_rolled_back")
         uids;
       let discarded = cascade t ~sender_pid:pid ~uids ~code:msg_roll in
       (* mailbox compensation for a distributed abort is accounted once,
@@ -1757,11 +1710,11 @@ let note_shipment t ~as_delta ~bytes =
   if t.delta then begin
     if as_delta then Obs.Metrics.incr t.c_delta_hits
     else Obs.Metrics.incr t.c_delta_misses;
+    (* one of the two was just counted, so the sum is positive *)
     let h = Obs.Metrics.count t.c_delta_hits in
     let m = Obs.Metrics.count t.c_delta_misses in
-    if h + m > 0 then
-      Obs.Metrics.set t.g_delta_hit_rate
-        (float_of_int h /. float_of_int (h + m))
+    Obs.Metrics.set t.g_delta_hit_rate
+      (float_of_int h /. float_of_int (h + m))
   end
 
 (* Every storage/migration image is both itemised (the record list the
@@ -1935,94 +1888,62 @@ type ship_failure = {
 let ship_shipment t ~retry (entry : entry) (src : node) (target : node)
     packed sh =
   let pid = entry.proc.Process.pid and rank = entry_rank entry in
-  let attempt (sh : shipment) ~send_at =
+  (* [w_bytes], [w_pack_s] and [w]: what an earlier, rejected delta hop
+     already cost (zero for the first shipment) *)
+  let rec ship (sh : shipment) ~send_at ~w_bytes ~w_pack_s (w : hop_success)
+      =
     let bytes = String.length sh.sh_bytes in
     note_shipment t ~as_delta:sh.sh_delta ~bytes;
+    let pack_s = w_pack_s +. sh.sh_pack_s in
+    let fail sf_kind ~attempts ~elapsed_s sf_reason =
+      Error
+        {
+          sf_kind;
+          sf_attempts = w.hx_attempts + attempts;
+          sf_pack_s = pack_s;
+          sf_elapsed_s = w.hx_delay_s +. elapsed_s;
+          sf_reason;
+        }
+    in
     match
       transmit_hop t ~retry ~send_at ~src_node:src.node_id
         ~dst_node:target.node_id ~target_name:target.node_name ~bytes ~pid
         ~rank
     with
-    | Error (attempts, elapsed, reason) ->
-      Error (`Unreachable (attempts, elapsed, reason))
+    | Error (attempts, elapsed_s, reason) ->
+      fail `Unreachable ~attempts ~elapsed_s reason
     | Ok hx -> (
       match
         deliver_hop t target ~bytes:sh.sh_bytes ~pid ~rank
           ~arrive_at:(send_at +. hx.hx_delay_s)
       with
-      | Ok outcome -> Ok (hx, outcome)
-      | Error msg -> Error (`Rejected (hx, msg)))
+      | Ok outcome ->
+        Ok
+          {
+            sr_outcome = outcome;
+            sr_bytes = w_bytes + bytes;
+            sr_pack_s = pack_s;
+            sr_transfer_s = w.hx_delay_s +. hx.hx_delay_s;
+            sr_attempts = w.hx_attempts + hx.hx_attempts;
+            sr_backoff_s = w.hx_backoff_s +. hx.hx_backoff_s;
+            sr_delta = sh.sh_delta;
+          }
+      | Error msg when sh.sh_delta && Migrate.Server.is_unknown_baseline msg
+        ->
+        (* the negotiated baseline evaporated before delivery: pay for the
+           wasted delta hop and re-ship the full image *)
+        Obs.Metrics.incr t.c_delta_fallbacks;
+        let full = full_shipment entry packed in
+        ship full
+          ~send_at:(send_at +. hx.hx_delay_s +. full.sh_pack_s)
+          ~w_bytes:bytes ~w_pack_s:pack_s hx
+      | Error msg ->
+        fail `Rejected ~attempts:hx.hx_attempts ~elapsed_s:hx.hx_delay_s msg)
   in
-  match attempt sh ~send_at:(src.clock +. sh.sh_pack_s) with
-  | Ok (hx, outcome) ->
-    Ok
-      {
-        sr_outcome = outcome;
-        sr_bytes = String.length sh.sh_bytes;
-        sr_pack_s = sh.sh_pack_s;
-        sr_transfer_s = hx.hx_delay_s;
-        sr_attempts = hx.hx_attempts;
-        sr_backoff_s = hx.hx_backoff_s;
-        sr_delta = sh.sh_delta;
-      }
-  | Error (`Rejected (hx, msg))
-    when sh.sh_delta && Migrate.Server.is_unknown_baseline msg -> (
-    (* the negotiated baseline evaporated before delivery: pay for the
-       wasted delta hop and re-ship the full image *)
-    Obs.Metrics.incr t.c_delta_fallbacks;
-    let fullsh = full_shipment entry packed in
-    let resend_at =
-      src.clock +. sh.sh_pack_s +. hx.hx_delay_s +. fullsh.sh_pack_s
-    in
-    match attempt fullsh ~send_at:resend_at with
-    | Ok (hx2, outcome) ->
-      Ok
-        {
-          sr_outcome = outcome;
-          sr_bytes =
-            String.length sh.sh_bytes + String.length fullsh.sh_bytes;
-          sr_pack_s = sh.sh_pack_s +. fullsh.sh_pack_s;
-          sr_transfer_s = hx.hx_delay_s +. hx2.hx_delay_s;
-          sr_attempts = hx.hx_attempts + hx2.hx_attempts;
-          sr_backoff_s = hx.hx_backoff_s +. hx2.hx_backoff_s;
-          sr_delta = false;
-        }
-    | Error (`Unreachable (attempts, elapsed, reason)) ->
-      Error
-        {
-          sf_kind = `Unreachable;
-          sf_attempts = hx.hx_attempts + attempts;
-          sf_pack_s = sh.sh_pack_s +. fullsh.sh_pack_s;
-          sf_elapsed_s = hx.hx_delay_s +. elapsed;
-          sf_reason = reason;
-        }
-    | Error (`Rejected (hx2, msg)) ->
-      Error
-        {
-          sf_kind = `Rejected;
-          sf_attempts = hx.hx_attempts + hx2.hx_attempts;
-          sf_pack_s = sh.sh_pack_s +. fullsh.sh_pack_s;
-          sf_elapsed_s = hx.hx_delay_s +. hx2.hx_delay_s;
-          sf_reason = msg;
-        })
-  | Error (`Unreachable (attempts, elapsed, reason)) ->
-    Error
-      {
-        sf_kind = `Unreachable;
-        sf_attempts = attempts;
-        sf_pack_s = sh.sh_pack_s;
-        sf_elapsed_s = elapsed;
-        sf_reason = reason;
-      }
-  | Error (`Rejected (hx, msg)) ->
-    Error
-      {
-        sf_kind = `Rejected;
-        sf_attempts = hx.hx_attempts;
-        sf_pack_s = sh.sh_pack_s;
-        sf_elapsed_s = hx.hx_delay_s;
-        sf_reason = msg;
-      }
+  ship sh
+    ~send_at:(src.clock +. sh.sh_pack_s)
+    ~w_bytes:0 ~w_pack_s:0.0
+    { hx_delay_s = 0.0; hx_attempts = 0; hx_backoff_s = 0.0 }
 
 (* Every pack rebases the process's dirty tracking: record the fresh
    image as the entry's baseline (success or failure downstream) and
@@ -2127,6 +2048,30 @@ let complete_rehome t (old_entry : entry) (new_entry : entry) =
         (Mpi.take_all (rank_mailbox t old_rank)))
   | _ -> ()
 
+(* A migrated or resurrected process [proc0] as the daemon on [n]
+   unpacked it: renumbered under a fresh cluster-unique pid, with its
+   emulator and the simulated time the daemon spent compiling it
+   (link-only on a recompilation-cache hit). *)
+let successor_proc t (n : node) (proc0 : Process.t) ~masm ~compiled ~costs =
+  let pid = t.next_pid in
+  t.next_pid <- t.next_pid + 1;
+  let proc = { proc0 with Process.pid } in
+  ( proc,
+    Emu_engine (Emulator.create ~compiled masm proc),
+    Arch.seconds n.node_arch costs.Migrate.Pack.u_compile_cycles )
+
+(* The arrival half of a migration's trace, shared with resurrection (an
+   inbound migration from the store): where the successor's code came
+   from at [cache_at], then its resumption at [e.start_at]. *)
+let emit_arrival t (e : entry) ~cache_at ~cache_hit ~bytes ~pack_s
+    ~transfer_s ~compile_s =
+  let pid = e.proc.Process.pid and rank = entry_rank e in
+  emit t ~time:cache_at ~node:e.node_id ~pid ~rank
+    (if cache_hit then Obs.Trace.Cache_hit else Obs.Trace.Cache_miss);
+  emit t ~time:e.start_at ~node:e.node_id ~pid ~rank
+    (Obs.Trace.Migrate_done
+       { ok = true; cache_hit; bytes; pack_s; transfer_s; compile_s })
+
 (* The unified move commit: everything that happens after a shipment is
    accepted, shared by every initiator of [move] — successor entry
    creation (an ordinary process keeps rank/mailbox/epoch; a registered
@@ -2143,32 +2088,26 @@ let install_successor t (entry : entry) (src : node) (target : node) packed
   let outcome = sr.sr_outcome in
   let pack_s = sr.sr_pack_s and transfer_s = sr.sr_transfer_s in
   let old_uids = Spec.Engine.unique_ids proc.Process.spec in
-  let compile_s =
-    Arch.seconds target.node_arch
-      outcome.Migrate.Server.o_costs.Migrate.Pack.u_compile_cycles
+  let new_proc, engine, compile_s =
+    successor_proc t target outcome.Migrate.Server.o_process
+      ~masm:outcome.Migrate.Server.o_masm
+      ~compiled:outcome.Migrate.Server.o_compiled
+      ~costs:outcome.Migrate.Server.o_costs
   in
-  (* keep pids cluster-unique *)
-  let new_pid = t.next_pid in
-  t.next_pid <- t.next_pid + 1;
-  let new_proc =
-    { outcome.Migrate.Server.o_process with Process.pid = new_pid }
-  in
+  let new_pid = new_proc.Process.pid in
   let new_rank, new_mailbox, new_epoch = successor_home t entry in
+  let arrive_at = max target.clock (src.clock +. pack_s +. transfer_s) in
   let new_entry =
     {
       proc = new_proc;
-      engine =
-        Emu_engine
-          (Emulator.create ~compiled:outcome.Migrate.Server.o_compiled
-             outcome.Migrate.Server.o_masm new_proc);
+      engine;
       node_id = target.node_id;
       mailbox = new_mailbox;
       rank = new_rank;
       (* migration is the SAME incarnation on a new node (a fresh
          service rank starts at that rank's epoch) *)
       epoch = new_epoch;
-      start_at =
-        max target.clock (src.clock +. pack_s +. transfer_s) +. compile_s;
+      start_at = arrive_at +. compile_s;
       parked_on = None;
       (* the successor's heap was restored from (and its dirty set is
          empty relative to) the image just shipped *)
@@ -2180,19 +2119,17 @@ let install_successor t (entry : entry) (src : node) (target : node) packed
   terminate ();
   register_entry t new_entry;
   complete_rehome t entry new_entry;
-  rekey_identity t ~old_pid:proc.Process.pid ~new_pid
-    ~uid_map:
-      (List.combine old_uids (Spec.Engine.unique_ids new_proc.Process.spec));
+  let uid_map =
+    List.combine old_uids (Spec.Engine.unique_ids new_proc.Process.spec)
+  in
+  rekey_identity t ~old_pid:proc.Process.pid ~new_pid ~uid_map;
   (* a mid-transaction move re-registers the process with the
      transaction table under its successor identity: where it
      coordinates, the root level is translated; where it participates,
      its recorded rank and epoch are refreshed (a deliberate re-home is
      not a zombie — its prepare-ack stays valid) *)
-  Dspec.rebind_pid t.dspec ~old_pid:proc.Process.pid ~new_pid
-    ~uid_map:
-      (List.combine old_uids (Spec.Engine.unique_ids new_proc.Process.spec))
-    ~rank:(match new_entry.rank with Some r -> r | None -> -1)
-    ~epoch:new_entry.epoch;
+  Dspec.rebind_pid t.dspec ~old_pid:proc.Process.pid ~new_pid ~uid_map
+    ~rank:(entry_rank new_entry) ~epoch:new_entry.epoch;
   src.busy_seconds <- src.busy_seconds +. pack_s;
   target.busy_seconds <- target.busy_seconds +. compile_s;
   let cache_hit = outcome.Migrate.Server.o_costs.Migrate.Pack.u_cache_hit in
@@ -2208,85 +2145,91 @@ let install_successor t (entry : entry) (src : node) (target : node) packed
       mr_delta = sr.sr_delta;
       mr_ok = true;
     };
-  emit t
-    ~time:(max target.clock (src.clock +. pack_s +. transfer_s))
-    ~node:target.node_id ~pid:new_pid ~rank:(entry_rank new_entry)
-    (if cache_hit then Obs.Trace.Cache_hit else Obs.Trace.Cache_miss);
-  emit t ~time:new_entry.start_at ~node:target.node_id ~pid:new_pid
-    ~rank:(entry_rank new_entry)
-    (Obs.Trace.Migrate_done
-       { ok = true; cache_hit; bytes = sr.sr_bytes; pack_s; transfer_s;
-         compile_s });
+  emit_arrival t new_entry ~cache_at:arrive_at ~cache_hit ~bytes:sr.sr_bytes
+    ~pack_s ~transfer_s ~compile_s;
   new_entry, cache_hit
 
-let handle_migrate t (entry : entry) _req host =
+(* Live migration of [entry] from [src] to [target], shared by the
+   program's own migrate() ([handle_migrate]) and host-initiated moves
+   ([move_running]): pack with [pack], rebase the dirty tracking, choose
+   full or delta, announce, ship under [retry] and, once the target
+   accepted, install the successor ([terminate] ends the source).  A
+   failed shipment comes back with the announced byte count; the caller
+   decides what the process sees and records it through [ship_failed]. *)
+let migrate_entry t ~retry
+    ~(pack :
+       ?with_binary:bool -> ?epoch:int -> ?dspec:Migrate.Wire.dspec_ctx ->
+       Process.t -> Migrate.Pack.packed) ~terminate (entry : entry)
+    (src : node) (target : node) =
+  let with_binary = t.trusted && Arch.equal src.node_arch target.node_arch in
+  let prev_baseline = entry.baseline in
+  let packed =
+    pack ~with_binary ~epoch:entry.epoch ?dspec:(dspec_ctx_of t entry)
+      entry.proc
+  in
+  let baseline_digest = rebase_baseline src entry packed in
+  let sh = choose_shipment t ~baseline:prev_baseline entry target packed in
+  let bytes = String.length sh.sh_bytes in
+  emit_entry t entry
+    (Obs.Trace.Migrate_start { target = target.node_name; bytes });
+  match ship_shipment t ~retry entry src target packed sh with
+  | Ok sr ->
+    let new_entry, cache_hit =
+      install_successor t entry src target packed ~baseline_digest sr
+        ~terminate
+    in
+    Ok (new_entry, cache_hit, sr)
+  | Error sf -> Error (bytes, sf)
+
+let failed_done ~bytes ~pack_s =
+  Obs.Trace.Migrate_done
+    { ok = false; cache_hit = false; bytes; pack_s; transfer_s = 0.0;
+      compile_s = 0.0 }
+
+(* Record a shipment that never landed; the process stays where it is. *)
+let ship_failed t (entry : entry) ~bytes sf =
+  record_migration t
+    {
+      mr_kind = `Migrate;
+      mr_pid = entry.proc.Process.pid;
+      mr_bytes = bytes;
+      mr_pack_s = sf.sf_pack_s;
+      mr_transfer_s = 0.0;
+      mr_compile_s = 0.0;
+      mr_cache_hit = false;
+      mr_delta = false;
+      mr_ok = false;
+    };
+  emit_entry t entry (failed_done ~bytes ~pack_s:sf.sf_pack_s)
+
+(* A migrate() to an unknown, dead or malformed target: nothing is
+   packed, and the process continues locally. *)
+let refuse_migration t (entry : entry) ~target =
+  emit_entry t entry (Obs.Trace.Migrate_start { target; bytes = 0 });
+  emit_entry t entry (failed_done ~bytes:0 ~pack_s:0.0);
+  Process.migration_failed entry.proc
+
+let handle_migrate t (entry : entry) host =
   let proc = entry.proc in
-  let src = node t entry.node_id in
   if is_stale t entry then fence t entry ~what:"migrate"
   else
-  match node_by_name t host with
-  | Some target when target.alive && target.node_id <> entry.node_id ->
-    let with_binary =
-      t.trusted && Arch.equal src.node_arch target.node_arch
-    in
-    let prev_baseline = entry.baseline in
-    let packed =
-      Migrate.Pack.pack_request ~with_binary ~epoch:entry.epoch
-        ?dspec:(dspec_ctx_of t entry) proc
-    in
-    let baseline_digest = rebase_baseline src entry packed in
-    let sh = choose_shipment t ~baseline:prev_baseline entry target packed in
-    let bytes = String.length sh.sh_bytes in
-    emit_entry t entry (Obs.Trace.Migrate_start { target = host; bytes });
-    (match ship_shipment t ~retry:t.retry entry src target packed sh with
-    | Ok sr ->
-      let (_ : entry), (_ : bool) =
-        install_successor t entry src target packed ~baseline_digest sr
+    match node_by_name t host with
+    | Some target when target.alive && target.node_id <> entry.node_id -> (
+      match
+        migrate_entry t ~retry:t.retry ~pack:Migrate.Pack.pack_request
           ~terminate:(fun () -> Process.migration_completed proc)
-      in
-      ()
-    | Error sf ->
-      (* graceful degradation: the target stayed unreachable (or its
-         daemon rejected the image) — the process resumes locally
-         instead of wedging, having paid for the pack and the timed-out
-         attempts *)
-      charge_seconds proc (sf.sf_pack_s +. sf.sf_elapsed_s);
-      record_migration t
-        {
-          mr_kind = `Migrate;
-          mr_pid = proc.Process.pid;
-          mr_bytes = bytes;
-          mr_pack_s = sf.sf_pack_s;
-          mr_transfer_s = 0.0;
-          mr_compile_s = 0.0;
-          mr_cache_hit = false;
-          mr_delta = false;
-          mr_ok = false;
-        };
-      emit_entry t entry
-        (Obs.Trace.Migrate_done
-           {
-             ok = false;
-             cache_hit = false;
-             bytes;
-             pack_s = sf.sf_pack_s;
-             transfer_s = 0.0;
-             compile_s = 0.0;
-           });
-      Process.migration_failed proc)
-  | Some _ | None ->
-    emit_entry t entry (Obs.Trace.Migrate_start { target = host; bytes = 0 });
-    emit_entry t entry
-      (Obs.Trace.Migrate_done
-         {
-           ok = false;
-           cache_hit = false;
-           bytes = 0;
-           pack_s = 0.0;
-           transfer_s = 0.0;
-           compile_s = 0.0;
-         });
-    Process.migration_failed proc
+          entry (node t entry.node_id) target
+      with
+      | Ok _ -> ()
+      | Error (bytes, sf) ->
+        (* graceful degradation: the target stayed unreachable (or its
+           daemon rejected the image) — the process resumes locally
+           instead of wedging, having paid for the pack and the
+           timed-out attempts *)
+        charge_seconds proc (sf.sf_pack_s +. sf.sf_elapsed_s);
+        ship_failed t entry ~bytes sf;
+        Process.migration_failed proc)
+    | Some _ | None -> refuse_migration t entry ~target:host
 
 (* Host-initiated live migration of a RUNNING process (the [Move.Running]
    subject): validate, pack mid-execution, ship under [retry], and
@@ -2312,47 +2255,22 @@ let move_running t ~pid ~node_id ~retry =
       end
       else if not target.alive then Error Target_down
       else if target.node_id = src.node_id then Error Already_there
-      else begin
-        let with_binary =
-          t.trusted && Arch.equal src.node_arch target.node_arch
-        in
-        let prev_baseline = entry.baseline in
-        let packed =
-          Migrate.Pack.pack_running ~with_binary ~epoch:entry.epoch
-            ?dspec:(dspec_ctx_of t entry) entry.proc
-        in
-        let baseline_digest = rebase_baseline src entry packed in
-        let sh =
-          choose_shipment t ~baseline:prev_baseline entry target packed
-        in
-        let bytes = String.length sh.sh_bytes in
-        emit_entry t entry
-          (Obs.Trace.Migrate_start { target = target.node_name; bytes });
-        match ship_shipment t ~retry entry src target packed sh with
-        | Error sf ->
-          (* failure is invisible: the process keeps running where it is *)
-          record_migration t
-            { mr_kind = `Migrate; mr_pid = pid; mr_bytes = bytes;
-              mr_pack_s = sf.sf_pack_s; mr_transfer_s = 0.0;
-              mr_compile_s = 0.0; mr_cache_hit = false; mr_ok = false;
-              mr_delta = false };
-          emit_entry t entry
-            (Obs.Trace.Migrate_done
-               { ok = false; cache_hit = false; bytes;
-                 pack_s = sf.sf_pack_s; transfer_s = 0.0;
-                 compile_s = 0.0 });
+      else
+        match
+          migrate_entry t ~retry ~pack:Migrate.Pack.pack_running
+            ~terminate:(fun () ->
+              entry.proc.Process.status <- Process.Exited 0)
+            entry src target
+        with
+        | Error (bytes, sf) ->
+          ship_failed t entry ~bytes sf;
           Error
             (match sf.sf_kind with
             | `Unreachable ->
               Unreachable
                 { attempts = sf.sf_attempts; reason = sf.sf_reason }
             | `Rejected -> Rejected sf.sf_reason)
-        | Ok sr ->
-          let new_entry, cache_hit =
-            install_successor t entry src target packed ~baseline_digest sr
-              ~terminate:(fun () ->
-                entry.proc.Process.status <- Process.Exited 0)
-          in
+        | Ok (new_entry, cache_hit, sr) ->
           Ok
             {
               rep_pid = new_entry.proc.Process.pid;
@@ -2363,8 +2281,7 @@ let move_running t ~pid ~node_id ~retry =
               rep_bytes = sr.sr_bytes;
               rep_cache_hit = cache_hit;
               rep_delta = sr.sr_delta;
-            }
-      end))
+            }))
 
 let handle_to_storage t (entry : entry) req path ~kind =
   let proc = entry.proc in
@@ -2473,19 +2390,13 @@ let handle_migration t (entry : entry) =
   match entry.proc.Process.status with
   | Process.Migrating req -> (
     match Migrate.Protocol.parse req.Process.m_target with
-    | Migrate.Protocol.Migrate_to host -> handle_migrate t entry req host
+    | Migrate.Protocol.Migrate_to host -> handle_migrate t entry host
     | Migrate.Protocol.Suspend_to path ->
       handle_to_storage t entry req path ~kind:`Suspend
     | Migrate.Protocol.Checkpoint_to path ->
       handle_to_storage t entry req path ~kind:`Checkpoint
     | exception Migrate.Protocol.Bad_target _ ->
-      emit_entry t entry
-        (Obs.Trace.Migrate_start { target = req.Process.m_target; bytes = 0 });
-      emit_entry t entry
-        (Obs.Trace.Migrate_done
-           { ok = false; cache_hit = false; bytes = 0; pack_s = 0.0;
-             transfer_s = 0.0; compile_s = 0.0 });
-      Process.migration_failed entry.proc)
+      refuse_migration t entry ~target:req.Process.m_target)
   | Process.Running | Process.Exited _ | Process.Trapped _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -2498,15 +2409,46 @@ let handle_migration t (entry : entry) =
 let abort_dead_coordinator_txns t (e : entry) ~discarded =
   List.iter
     (fun (txn : Dspec.txn) ->
-      Dspec.abort t.dspec txn ~reason:"coordinator_dead";
+      abort_txn t e txn ~reason:"coordinator_dead";
       Dspec.mark_compensated t.dspec txn ~discarded;
-      let parts = List.rev_map (fun p -> p.Dspec.p_pid) txn.Dspec.x_parts in
-      emit_entry t e
-        (Obs.Trace.Dspec_abort
-           { txn = txn.Dspec.x_id; parts; reason = "coordinator_dead" });
       emit_entry t e
         (Obs.Trace.Dspec_compensate { txn = txn.Dspec.x_id; discarded }))
     (Dspec.open_coordinated_by t.dspec ~pid:e.proc.Process.pid)
+
+(* Retire the incarnation [e]: [halt] stops it (trapped by a node
+   failure, or fenced as superseded), everyone who consumed its
+   speculative messages rolls back with it, the transactions it
+   coordinates abort, and survivors polling its rank observe MSG_ROLL.
+   Only a survivor the roll notice is relevant to wakes: one parked on
+   the retired rank, parked wildcard (src < 0 — a roll notice from
+   anyone is its awaited event), or parked without a recorded source.
+   Waking a process parked on an UNRELATED rank would violate the
+   parked_on contract — the scheduler would spin it on a poll that
+   still returns nothing. *)
+let retire t (e : entry) ~halt =
+  let uids = Spec.Engine.unique_ids e.proc.Process.spec in
+  halt ();
+  let discarded =
+    cascade t ~sender_pid:e.proc.Process.pid ~uids ~code:msg_roll
+  in
+  abort_dead_coordinator_txns t e ~discarded;
+  match e.rank with
+  | None -> ()
+  | Some rank ->
+    List.iter
+      (fun (other : entry) ->
+        if
+          other.proc.Process.pid <> e.proc.Process.pid
+          && not (Process.is_terminated other.proc)
+        then begin
+          Mpi.post_roll_notice other.mailbox ~src_rank:rank;
+          match other.parked_on with
+          | Some (src, _) when src = rank || src < 0 ->
+            other.proc.Process.waiting <- false
+          | Some _ -> ()
+          | None -> other.proc.Process.waiting <- false
+        end)
+      t.entries
 
 let fail_node t node_id =
   let n = node t node_id in
@@ -2524,76 +2466,22 @@ let fail_node t node_id =
     in
     List.iter
       (fun (e : entry) ->
-        let uids = Spec.Engine.unique_ids e.proc.Process.spec in
-        e.proc.Process.status <- Process.Trapped "node failure";
-        (* everyone who consumed this process's speculative messages rolls
-           back with it *)
-        let discarded =
-          cascade t ~sender_pid:e.proc.Process.pid ~uids ~code:msg_roll
-        in
-        abort_dead_coordinator_txns t e ~discarded;
-        (* survivors polling this rank observe MSG_ROLL *)
-        match e.rank with
-        | Some dead_rank ->
-          List.iter
-            (fun other ->
-              if
-                other.proc.Process.pid <> e.proc.Process.pid
-                && not (Process.is_terminated other.proc)
-              then begin
-                Mpi.post_roll_notice other.mailbox ~src_rank:dead_rank;
-                (* only wake a survivor the notice is relevant to: one
-                   parked on the dead rank, parked wildcard (src < 0 —
-                   a roll notice from anyone is its awaited event), or
-                   parked without a recorded source.  Waking a process
-                   parked on an UNRELATED rank would violate the
-                   parked_on contract — the scheduler would spin it on
-                   a poll that still returns nothing *)
-                match other.parked_on with
-                | Some (src, _) when src = dead_rank || src < 0 ->
-                  other.proc.Process.waiting <- false
-                | Some _ -> ()
-                | None -> other.proc.Process.waiting <- false
-              end)
-            t.entries
-        | None -> ())
+        retire t e ~halt:(fun () ->
+            e.proc.Process.status <- Process.Trapped "node failure"))
       victims
   end
 
 (* Logically terminate a (possibly still executing) old incarnation of
    [rank] before its successor is created.  The epoch bump must already
    have happened, making the old holder stale: fence it so it never runs
-   another instruction, cascade its uncommitted speculative sends, and
-   post roll notices so survivors that already consumed its traffic roll
-   back to their last durable point and re-send to the successor.  This
-   mirrors [fail_node]'s per-victim work, but for a single rank on a node
-   that may in fact still be alive (a false suspicion). *)
+   another instruction, then retire it as [fail_node] retires a victim —
+   but for a single rank on a node that may in fact still be alive (a
+   false suspicion). *)
 let kill_incarnation t ~rank =
   match entry_of_rank t rank with
-  | None -> ()
-  | Some e ->
-    if not (Process.is_terminated e.proc) then begin
-      let uids = Spec.Engine.unique_ids e.proc.Process.spec in
-      fence t e ~what:"schedule";
-      let discarded =
-        cascade t ~sender_pid:e.proc.Process.pid ~uids ~code:msg_roll
-      in
-      abort_dead_coordinator_txns t e ~discarded;
-      List.iter
-        (fun (other : entry) ->
-          if
-            other.proc.Process.pid <> e.proc.Process.pid
-            && not (Process.is_terminated other.proc)
-          then begin
-            Mpi.post_roll_notice other.mailbox ~src_rank:rank;
-            match other.parked_on with
-            | Some (src, _) when src = rank || src < 0 ->
-              other.proc.Process.waiting <- false
-            | Some _ -> ()
-            | None -> other.proc.Process.waiting <- false
-          end)
-        t.entries
-    end
+  | Some e when not (Process.is_terminated e.proc) ->
+    retire t e ~halt:(fun () -> fence t e ~what:"schedule")
+  | Some _ | None -> ()
 
 (* Resurrect a checkpointed process from shared storage on a live node
    (the paper's resurrection daemon executing the saved checkpoint).
@@ -2644,8 +2532,7 @@ let do_resurrect ?rank ?(seed = 11) t ~node_id ~path =
       in
       match replayed with
       | Error msg -> failed msg
-      | Ok (image, total_bytes, read_s) -> (
-      let bytes_len = total_bytes in
+      | Ok (image, bytes_len, read_s) -> (
       (* executing a saved checkpoint from the cluster's own store is
          within the trust domain: same-architecture resurrections take
          the binary fast path (link only); cross-architecture ones
@@ -2664,29 +2551,18 @@ let do_resurrect ?rank ?(seed = 11) t ~node_id ~path =
           match rank with
           | None -> 0
           | Some r ->
-            let e' = rank_epoch t r + 1 in
-            Hashtbl.replace t.epochs r e';
+            let e' = bump_epoch t r in
             kill_incarnation t ~rank:r;
             e'
         in
-        let outcome =
-          { Migrate.Server.o_pid = 0; o_costs = costs; o_process = proc0;
-            o_masm = masm; o_compiled = compiled }
+        let proc, engine, compile_s =
+          successor_proc t n proc0 ~masm ~compiled ~costs
         in
-        let pid = t.next_pid in
-        t.next_pid <- t.next_pid + 1;
-        let proc = { outcome.Migrate.Server.o_process with Process.pid } in
-        let compile_s =
-          Arch.seconds n.node_arch
-            outcome.Migrate.Server.o_costs.Migrate.Pack.u_compile_cycles
-        in
+        let pid = proc.Process.pid in
         let entry =
           {
             proc;
-            engine =
-              Emu_engine
-                (Emulator.create ~compiled:outcome.Migrate.Server.o_compiled
-                   outcome.Migrate.Server.o_masm proc);
+            engine;
             node_id;
             mailbox = mailbox_for t rank;
             rank;
@@ -2735,23 +2611,9 @@ let do_resurrect ?rank ?(seed = 11) t ~node_id ~path =
         emit t ~time:(now t) ~node:node_id ~pid ~rank:(entry_rank entry)
           (Obs.Trace.Migrate_start
              { target = n.node_name; bytes = bytes_len });
-        emit t ~time:entry.start_at ~node:node_id ~pid
-          ~rank:(entry_rank entry)
-          (if outcome.Migrate.Server.o_costs.Migrate.Pack.u_cache_hit then
-             Obs.Trace.Cache_hit
-           else Obs.Trace.Cache_miss);
-        emit t ~time:entry.start_at ~node:node_id ~pid
-          ~rank:(entry_rank entry)
-          (Obs.Trace.Migrate_done
-             {
-               ok = true;
-               cache_hit =
-                 outcome.Migrate.Server.o_costs.Migrate.Pack.u_cache_hit;
-               bytes = bytes_len;
-               pack_s = 0.0;
-               transfer_s = read_s;
-               compile_s;
-             });
+        emit_arrival t entry ~cache_at:entry.start_at
+          ~cache_hit:costs.Migrate.Pack.u_cache_hit ~bytes:bytes_len
+          ~pack_s:0.0 ~transfer_s:read_s ~compile_s;
         emit t ~time:entry.start_at ~node:node_id ~pid
           ~rank:(entry_rank entry)
           (Obs.Trace.Resurrect { path; ok = true });
@@ -2944,17 +2806,19 @@ let wake_entry (e : entry) ~clock =
     in
     if ready then e.proc.Process.waiting <- false
 
-(* Wake parked processes on [n] whose awaited event is due on the node's
-   local clock.  Indexed mode iterates the node's residents; legacy
-   mode scans every entry (the pre-index behaviour, kept behind
-   Config.legacy_scan_sched for the S1 before/after measurement). *)
-let wake_ready t n =
+(* The entries hosted on [n], newest first: the node's resident index,
+   or under [Config.legacy_scan_sched] a scan of every entry (the
+   pre-index scheduler, kept as the reference the S1 bench and the
+   equivalence suite compare against).  The only reader of the mode. *)
+let node_entries t n =
   if t.scan_sched then
-    List.iter
-      (fun (e : entry) ->
-        if e.node_id = n.node_id then wake_entry e ~clock:n.clock)
-      t.entries
-  else List.iter (fun e -> wake_entry e ~clock:n.clock) n.residents
+    List.filter (fun (e : entry) -> e.node_id = n.node_id) t.entries
+  else n.residents
+
+(* Wake parked processes on [n] whose awaited event is due on the node's
+   local clock. *)
+let wake_ready t n =
+  List.iter (fun e -> wake_entry e ~clock:n.clock) (node_entries t n)
 
 (* The earliest future event relevant to one entry, folded into [acc]:
    a delayed start, or the delivery a parked process is waiting for. *)
@@ -2988,14 +2852,7 @@ let fold_next_event ~clock acc (e : entry) =
 
 (* The earliest future event relevant to node [n]. *)
 let next_event_on t n =
-  if t.scan_sched then
-    List.fold_left
-      (fun acc (e : entry) ->
-        if e.node_id <> n.node_id then acc
-        else fold_next_event ~clock:n.clock acc e)
-      None t.entries
-  else
-    List.fold_left (fold_next_event ~clock:n.clock) None n.residents
+  List.fold_left (fold_next_event ~clock:n.clock) None (node_entries t n)
 
 (* Emit every heartbeat now due on each alive node's local clock and fan
    it out to every other node through the fault layer: a partitioned or
@@ -3050,15 +2907,9 @@ let round t =
      (the node loses the time); a crash is a full [fail_node] with the
      usual cascade. *)
   let hosts_work n =
-    if t.scan_sched then
-      List.exists
-        (fun (e : entry) ->
-          e.node_id = n.node_id && not (Process.is_terminated e.proc))
-        t.entries
-    else
-      List.exists
-        (fun (e : entry) -> not (Process.is_terminated e.proc))
-        n.residents
+    List.exists
+      (fun (e : entry) -> not (Process.is_terminated e.proc))
+      (node_entries t n)
   in
   let floor_clock =
     let f =
@@ -3102,26 +2953,16 @@ let round t =
         (* purge terminated entries from the per-node index (terminal
            statuses are permanent; the global list keeps them for
            introspection and cascades) *)
-        if not t.scan_sched then
-          n.residents <-
-            List.filter
-              (fun (e : entry) -> not (Process.is_terminated e.proc))
-              n.residents;
+        n.residents <-
+          List.filter
+            (fun (e : entry) -> not (Process.is_terminated e.proc))
+            n.residents;
         wake_ready t n;
         let procs =
-          (* spawn order (oldest first), exactly the order the global
-             scan produced: residents are newest-first like t.entries *)
-          if t.scan_sched then
-            List.filter
-              (fun (e : entry) ->
-                e.node_id = n.node_id && runnable t e
-                && not e.proc.Process.waiting)
-              (List.rev t.entries)
-          else
-            List.filter
-              (fun (e : entry) ->
-                runnable t e && not e.proc.Process.waiting)
-              (List.rev n.residents)
+          (* spawn order (oldest first): node entries are newest-first *)
+          List.filter
+            (fun (e : entry) -> runnable t e && not e.proc.Process.waiting)
+            (List.rev (node_entries t n))
         in
         let node_cycles = ref 0 in
         let ran = ref 0 in
@@ -3200,13 +3041,10 @@ let idle_advance t =
     (fun n ->
       if n.alive then begin
         wake_ready t n;
-        let can_run (e : entry) = runnable t e && not e.proc.Process.waiting in
         let has_work =
-          if t.scan_sched then
-            List.exists
-              (fun (e : entry) -> e.node_id = n.node_id && can_run e)
-              t.entries
-          else List.exists can_run n.residents
+          List.exists
+            (fun (e : entry) -> runnable t e && not e.proc.Process.waiting)
+            (node_entries t n)
         in
         if not has_work then
           match next_event_on t n with

@@ -503,31 +503,94 @@ let test_fail_node_wakes_only_related_parked () =
     | Vm.Process.Running -> true
     | _ -> false)
 
+(* The false-suspicion twin: resurrecting rank 2 while its old holder
+   is still alive retires that holder through the same wake rule — the
+   watcher parked on rank 2 wakes, the one parked on an unrelated live
+   rank stays parked. *)
+let test_resurrect_wakes_only_related_parked () =
+  let cluster =
+    Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 4 }
+  in
+  let checkpointed =
+    Builder.(
+      prog
+        [
+          func "after" [] (fun _ -> callf "spin" []);
+          func "spin" [] (fun _ -> callf "spin" []);
+          func "main" [] (fun _ ->
+              string "checkpoint://ck2" (fun dst ->
+                  migrate ~label:3 dst (fn "after") []));
+        ])
+  in
+  let holder =
+    Net.Cluster.spawn cluster ~rank:2 ~node_id:0 checkpointed
+  in
+  let related =
+    Net.Cluster.spawn cluster ~rank:1 ~node_id:1 (watcher_of 2)
+  in
+  let unrelated =
+    Net.Cluster.spawn cluster ~rank:3 ~node_id:2 (watcher_of 0)
+  in
+  let _ = Net.Cluster.spawn cluster ~rank:0 ~node_id:2 spin_forever in
+  let _ = Net.Cluster.run cluster ~max_rounds:10 in
+  let entry pid =
+    match Net.Cluster.entry_of_pid cluster pid with
+    | Some e -> e
+    | None -> Alcotest.failf "no pid %d" pid
+  in
+  check "rank 2 checkpointed" true
+    (Net.Storage.exists (Net.Cluster.storage cluster) "ck2");
+  check "both watchers parked before the resurrection" true
+    ((entry related).Net.Cluster.proc.Vm.Process.waiting
+    && (entry unrelated).Net.Cluster.proc.Vm.Process.waiting);
+  (match Net.Cluster.resurrect cluster ~rank:2 ~node_id:3 ~path:"ck2" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "resurrection failed: %s" msg);
+  check "old holder fenced" true
+    (match status_of_pid cluster holder with
+    | Vm.Process.Trapped _ -> true
+    | _ -> false);
+  check "related watcher woken" true
+    (not (entry related).Net.Cluster.proc.Vm.Process.waiting);
+  check "unrelated watcher still parked" true
+    (entry unrelated).Net.Cluster.proc.Vm.Process.waiting;
+  check "unrelated watcher still parked on rank 0" true
+    ((entry unrelated).Net.Cluster.parked_on = Some (0, 0))
+
 (* Regression: a migration towards an already-dead node must fail
    cleanly — the source continues locally (migration_failed semantics)
-   and exactly one copy of the process ever exists. *)
+   and exactly one copy of the process ever exists.  An unknown host and
+   a malformed target take the same refusal path: nothing is packed, so
+   the trace shows a zero-byte start and a failed done. *)
 let test_migration_to_dead_target_single_copy () =
-  let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 2 } in
-  Net.Cluster.fail_node cluster 1;
-  let pid =
-    Net.Cluster.spawn cluster ~node_id:0
-      (migrate_then_finish ~target:"mcc://node1")
-  in
-  let _ = Net.Cluster.run cluster in
-  check "source observed migration_failed and continued locally" true
-    (status_of_pid cluster pid = Vm.Process.Exited 105);
-  (* no successor entry was ever created: one process, not two *)
-  check_int "exactly one process entry" 1
-    (List.length (Net.Cluster.statuses cluster));
-  (* the trace shows the attempt and its failure *)
-  let events = Obs.Trace.events (Net.Cluster.trace cluster) in
-  check "trace has the failed migrate_done" true
-    (List.exists
-       (fun (e : Obs.Trace.event) ->
-         match e.Obs.Trace.kind with
-         | Obs.Trace.Migrate_done { ok = false; _ } -> true
-         | _ -> false)
-       events)
+  List.iter
+    (fun target ->
+      let cluster =
+        Net.Cluster.create_cfg
+          { Net.Cluster.Config.default with node_count = 2 }
+      in
+      Net.Cluster.fail_node cluster 1;
+      let pid =
+        Net.Cluster.spawn cluster ~node_id:0 (migrate_then_finish ~target)
+      in
+      let _ = Net.Cluster.run cluster in
+      check (target ^ ": source continued locally") true
+        (status_of_pid cluster pid = Vm.Process.Exited 105);
+      (* no successor entry was ever created: one process, not two *)
+      check_int (target ^ ": exactly one process entry") 1
+        (List.length (Net.Cluster.statuses cluster));
+      let migration_events =
+        List.filter_map
+          (fun (e : Obs.Trace.event) ->
+            match e.Obs.Trace.kind with
+            | Obs.Trace.Migrate_start { bytes; _ } -> Some (`Start bytes)
+            | Obs.Trace.Migrate_done { ok; _ } -> Some (`Done ok)
+            | _ -> None)
+          (Obs.Trace.events (Net.Cluster.trace cluster))
+      in
+      check (target ^ ": zero-byte start, then a failed done") true
+        (migration_events = [ `Start 0; `Done false ]))
+    [ "mcc://node1"; "mcc://nosuch"; "ftp://node1" ]
 
 (* After a SUCCESSFUL migration the source entry is terminated: the
    packed process must never run in two places. *)
@@ -787,6 +850,9 @@ let suites =
           test_msg_roll_on_failure;
         Alcotest.test_case "failure wakes only related parked processes"
           `Quick test_fail_node_wakes_only_related_parked;
+        Alcotest.test_case
+          "false-suspicion resurrection wakes only related parked processes"
+          `Quick test_resurrect_wakes_only_related_parked;
         Alcotest.test_case "migration to dead target keeps a single copy"
           `Quick test_migration_to_dead_target_single_copy;
         Alcotest.test_case "successful migration leaves one live copy"
