@@ -26,17 +26,14 @@ let version = 4
 
 let put_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
 
-let put_i64 buf n =
-  for k = 0 to 7 do
-    put_u8 buf ((n asr (8 * k)) land 0xff)
-  done
+(* Fixed-width fields go through the stdlib's little-endian int64
+   writers and readers: one capacity or bounds check per field instead
+   of eight per-byte calls, and no allocation.  The bytes are the same
+   as a per-byte loop's. *)
+let put_i64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
 
 (* Compact 8-byte float encoding (exact bit pattern, little-endian). *)
-let put_f64_bits buf f =
-  let bits = Int64.bits_of_float f in
-  for k = 0 to 7 do
-    put_u8 buf (Int64.to_int (Int64.shift_right_logical bits (8 * k)) land 0xff)
-  done
+let put_f64_bits buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 (* OCaml ints are 63-bit, so a float's Int64 bit pattern is split across
    two fields to round-trip exactly. *)
@@ -69,18 +66,12 @@ let put_list buf f xs =
    the int as a raw 63-bit pattern — [lsr] makes negative OCaml ints
    terminate — and [put_varint] zigzags first so small negative values
    stay short. *)
-let put_uvarint buf n =
-  let n = ref n in
-  let continue_ = ref true in
-  while !continue_ do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      put_u8 buf b;
-      continue_ := false
-    end
-    else put_u8 buf (b lor 0x80)
-  done
+let rec put_uvarint buf n =
+  if n land lnot 0x7f = 0 then put_u8 buf n
+  else begin
+    put_u8 buf (n land 0x7f lor 0x80);
+    put_uvarint buf (n lsr 7)
+  end
 
 let put_varint buf n = put_uvarint buf ((n lsl 1) lxor (n asr 62))
 
@@ -97,24 +88,15 @@ let get_u8 r =
 
 let get_i64 r =
   need r 8;
-  let v = ref 0 in
-  for k = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code r.data.[r.pos + k]
-  done;
+  let v = Int64.to_int (String.get_int64_le r.data r.pos) in
   r.pos <- r.pos + 8;
-  !v
+  v
 
 let get_f64_bits r =
   need r 8;
-  let bits = ref 0L in
-  for k = 7 downto 0 do
-    bits :=
-      Int64.logor
-        (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code r.data.[r.pos + k]))
-  done;
+  let f = Int64.float_of_bits (String.get_int64_le r.data r.pos) in
   r.pos <- r.pos + 8;
-  Int64.float_of_bits !bits
+  f
 
 let get_f64_exact r =
   let lo = get_i64 r in
@@ -147,14 +129,14 @@ let get_list r f =
   in
   go []
 
-let get_uvarint r =
-  let rec go shift acc =
-    if shift > 62 then raise (Corrupt "varint too long");
-    let b = get_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* top-level recursion: a local [go] would allocate a closure per call *)
+let rec get_uvarint_from r shift acc =
+  if shift > 62 then raise (Corrupt "varint too long");
+  let b = get_u8 r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else get_uvarint_from r (shift + 7) acc
+
+let get_uvarint r = get_uvarint_from r 0 0
 
 let get_varint r =
   let u = get_uvarint r in
@@ -164,14 +146,30 @@ let get_varint r =
 (* Adler-32.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let adler32 s =
+(* The sums are reduced once per 5552-byte block, not twice per byte.
+   Reducing late gives the same residues; 5552 (zlib's NMAX) is the
+   longest run whose unreduced sums stay within 32 bits, well inside an
+   OCaml int. *)
+let adler_block = 5552
+
+let adler32_sub s off len =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Serial.adler32_sub";
   let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
+  let pos = ref off and stop = off + len in
+  while !pos < stop do
+    let block_end = min stop (!pos + adler_block) in
+    for i = !pos to block_end - 1 do
+      a := !a + Char.code (String.unsafe_get s i);
+      b := !b + !a
+    done;
+    a := !a mod 65521;
+    b := !b mod 65521;
+    pos := block_end
+  done;
   (!b lsl 16) lor !a
+
+let adler32 s = adler32_sub s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Content digest.                                                      *)
@@ -182,15 +180,72 @@ let adler32 s =
    migration server can digest the received payload without decoding it
    first.  Adler-32 stays the per-message transport checksum; the digest
    is the cache/identity key (far better dispersion, stable across
-   transports). *)
-let encoded_digest s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+   transports).  [fnv_update] hashes a slice, so a caller can digest
+   several slices of one buffer as if they were contiguous. *)
+let fnv_offset = 0xcbf29ce484222325L
+
+let fnv_update h s off len =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Serial.fnv_update";
+  let h = ref h in
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
+  !h
+
+let fnv_hex h = Printf.sprintf "%016Lx" h
+let encoded_digest s = fnv_hex (fnv_update fnv_offset s 0 (String.length s))
+
+(* ------------------------------------------------------------------ *)
+(* Framing.                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every codec in the system (FIR programs here, MASM images, process
+   images) ships its body in the same frame: magic, version, Adler-32 of
+   the body, body length, body.  The codecs differ only in magic,
+   version and the wording of their errors. *)
+type frame_fault =
+  | Short_magic
+  | Bad_magic
+  | Bad_version of int
+  | Bad_length
+  | Bad_checksum
+
+(* Written into a presized [Bytes]: the body is copied once. *)
+let frame ~magic ~version body =
+  let m = String.length magic and n = String.length body in
+  let b = Bytes.create (m + 24 + n) in
+  Bytes.blit_string magic 0 b 0 m;
+  Bytes.set_int64_le b m (Int64.of_int version);
+  Bytes.set_int64_le b (m + 8) (Int64.of_int (adler32 body));
+  Bytes.set_int64_le b (m + 16) (Int64.of_int n);
+  Bytes.blit_string body 0 b (m + 24) n;
+  Bytes.unsafe_to_string b
+
+(* The checksum runs over the body where it lies.  The returned reader
+   ends exactly at the body's end; it shares [s] when the frame is the
+   whole string (the normal case) and copies the body only when bytes
+   follow the frame. *)
+let unframe ~magic ~version ~fault s =
+  let m = String.length magic in
+  if String.length s < m then raise (Corrupt (fault Short_magic));
+  if not (String.equal (String.sub s 0 m) magic) then
+    raise (Corrupt (fault Bad_magic));
+  let r = { data = s; pos = m } in
+  let v = get_i64 r in
+  if v <> version then raise (Corrupt (fault (Bad_version v)));
+  let sum = get_i64 r in
+  let len = get_i64 r in
+  if len < 0 || len > String.length s - r.pos then
+    raise (Corrupt (fault Bad_length));
+  if adler32_sub s r.pos len <> sum then raise (Corrupt (fault Bad_checksum));
+  if r.pos + len = String.length s then r
+  else { data = String.sub s r.pos len; pos = 0 }
+
+let at_end r = r.pos = String.length r.data
 
 (* ------------------------------------------------------------------ *)
 (* Types.                                                              *)
@@ -640,33 +695,19 @@ let encode p =
   put_string body p.p_main;
   put_list body put_fundef
     (fold_funs (fun fd acc -> fd :: acc) p []);
-  let body = Buffer.contents body in
-  let buf = Buffer.create (String.length body + 32) in
-  Buffer.add_string buf magic;
-  put_i64 buf version;
-  put_i64 buf (adler32 body);
-  put_i64 buf (String.length body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  frame ~magic ~version (Buffer.contents body)
 
 let decode s =
-  let r = { data = s; pos = 0 } in
-  need r 4;
-  let m = String.sub s 0 4 in
-  r.pos <- 4;
-  if not (String.equal m magic) then raise (Corrupt "bad magic");
-  let v = get_i64 r in
-  if v <> version then
-    raise (Corrupt (Printf.sprintf "version mismatch: got %d, want %d" v
-                      version));
-  let sum = get_i64 r in
-  let len = get_i64 r in
-  if len < 0 || r.pos + len > String.length s then
-    raise (Corrupt "bad body length");
-  let body = String.sub s r.pos len in
-  if adler32 body <> sum then raise (Corrupt "checksum mismatch");
-  let r = { data = body; pos = 0 } in
+  let r =
+    unframe ~magic ~version s ~fault:(function
+      | Short_magic -> "truncated input"
+      | Bad_magic -> "bad magic"
+      | Bad_version v ->
+        Printf.sprintf "version mismatch: got %d, want %d" v version
+      | Bad_length -> "bad body length"
+      | Bad_checksum -> "checksum mismatch")
+  in
   let main = get_string r in
   let funs = get_list r get_fundef in
-  if r.pos <> String.length body then raise (Corrupt "trailing garbage");
+  if not (at_end r) then raise (Corrupt "trailing garbage");
   program funs ~main

@@ -52,12 +52,55 @@ val get_uvarint : reader -> int
 val get_varint : reader -> int
 
 val adler32 : string -> int
+(** Adler-32, reduced once per 5552-byte block. *)
 
 val encoded_digest : string -> string
 (** 64-bit FNV-1a content digest of already-encoded bytes, as a 16-char
     hex string — the content address of a FIR payload.  A migration
     server can digest received bytes without decoding them first; see
     {!Digest} for the program-level API. *)
+
+val fnv_offset : int64
+(** The FNV-1a 64 offset basis: the state before any byte is hashed. *)
+
+val fnv_update : int64 -> string -> int -> int -> int64
+(** [fnv_update h s off len] continues the FNV-1a 64 state [h] over
+    [len] bytes of [s] from [off].  Hashing slices in turn equals hashing
+    their concatenation, so
+    [fnv_hex (fnv_update fnv_offset s 0 (String.length s))] is
+    [encoded_digest s].
+    @raise Invalid_argument if the slice is out of bounds. *)
+
+val fnv_hex : int64 -> string
+(** The 16-char lowercase hex rendering {!encoded_digest} returns. *)
+
+(** {2 Framing}
+
+    The one frame every codec shares: magic, version, Adler-32 of the
+    body, body length (each an {!put_i64} field after the magic), then
+    the body. *)
+
+type frame_fault =
+  | Short_magic  (** the input is shorter than the magic *)
+  | Bad_magic
+  | Bad_version of int  (** the version the frame carries *)
+  | Bad_length
+  | Bad_checksum
+
+val frame : magic:string -> version:int -> string -> string
+
+val unframe :
+  magic:string -> version:int -> fault:(frame_fault -> string) -> string ->
+  reader
+(** Check a frame and return a reader over its body: positioned at the
+    body's first byte, ending exactly at its last.  The checksum runs
+    over the body in place; bytes after the frame are ignored.  [fault]
+    words the error of each codec.
+    @raise Corrupt with [fault f] on a bad frame, or ["truncated input"]
+    when a header field is cut short. *)
+
+val at_end : reader -> bool
+(** Every byte of the reader's input has been consumed. *)
 
 (** {2 Shared operator codes} *)
 

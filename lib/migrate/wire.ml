@@ -83,14 +83,12 @@ type image = {
 
 open struct
   let put_u8 = Fir.Serial.put_u8
-  let put_i64 = Fir.Serial.put_i64
   let put_uvarint = Fir.Serial.put_uvarint
   let put_varint = Fir.Serial.put_varint
   let put_string = Fir.Serial.put_string
   let put_list = Fir.Serial.put_list
   let put_f64 = Fir.Serial.put_f64_bits
   let get_u8 = Fir.Serial.get_u8
-  let get_i64 = Fir.Serial.get_i64
   let get_uvarint = Fir.Serial.get_uvarint
   let get_varint = Fir.Serial.get_varint
   let get_string = Fir.Serial.get_string
@@ -141,16 +139,13 @@ let get_value r =
   | 6 -> Value.Vfun (get_varint r)
   | n -> raise (Corrupt (Printf.sprintf "bad value tag %d" n))
 
-(* Bit-exact cell equality.  Stdlib polymorphic equality is wrong for
-   floats here: it conflates -0.0 with 0.0 (distinct bit patterns that
-   must survive a round trip byte-identically) and makes NaN unequal to
-   itself (which would break every run containing one).  Compare the
-   transported representation instead. *)
-let cell_equal a b =
-  match a, b with
-  | Value.Vfloat x, Value.Vfloat y ->
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | _ -> a = b
+(* Bit-exact cell equality ({!Value.equal}).  Stdlib polymorphic
+   equality is wrong for floats here: it conflates -0.0 with 0.0
+   (distinct bit patterns that must survive a round trip
+   byte-identically) and makes NaN unequal to itself (which would break
+   every run containing one).  Compare the transported representation
+   instead. *)
+let cell_equal = Value.equal
 
 (* Run-length heap segments: uvarint run count, then the cell once.
    Initialised arrays and freshly-zeroed pages collapse to a few bytes;
@@ -178,7 +173,7 @@ let get_cells r dst lo len =
     if run <= 0 || !i + run > hi then
       raise (Corrupt "bad heap-segment run length");
     let v = get_value r in
-    Array.fill dst !i run v;
+    if run = 1 then dst.(!i) <- v else Array.fill dst !i run v;
     i := !i + run
   done
 
@@ -246,17 +241,11 @@ let get_dspec r =
 (* Image content digest                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Content address of an image's SEMANTIC payload: architecture, FIR
-   digest, function table, pointer table, heap cells, speculation
-   snapshot and resume point.  Deliberately excludes the raw FIR bytes
-   (the digest already names them) and the MASM payload (a delta-
-   reconstructed image inherits the baseline's binary, which may differ
-   from what the sender would have attached) — so sender and receiver
-   compute identical digests for semantically identical images. *)
-let image_digest image =
-  let buf = Buffer.create 65536 in
-  put_string buf image.i_arch;
-  put_string buf image.i_digest;
+(* The semantic fields after the FIR digest, in wire order: function
+   table, pointer table, heap cells, speculation snapshot and resume
+   point.  A full packet writes them contiguously, so {!encode_with_digest}
+   hashes them where they lie. *)
+let put_semantic buf image =
   put_list buf put_string image.i_ftable;
   put_ptable buf image.i_ptable;
   put_uvarint buf (Array.length image.i_cells);
@@ -264,12 +253,25 @@ let image_digest image =
   put_list buf put_spec_level image.i_spec;
   put_varint buf image.i_menv;
   put_string buf image.i_entry;
-  put_varint buf image.i_label;
-  (* i_epoch and i_dspec are deliberately excluded: they are incarnation
-     and transaction METADATA, not semantic payload — two incarnations
-     of the same state must share a baseline digest so delta negotiation
-     still works across a resurrection, and opening a transaction must
-     not invalidate a retained baseline *)
+  put_varint buf image.i_label
+
+(* Content address of an image's SEMANTIC payload: architecture, FIR
+   digest, function table, pointer table, heap cells, speculation
+   snapshot and resume point.  Deliberately excludes the raw FIR bytes
+   (the digest already names them) and the MASM payload (a delta-
+   reconstructed image inherits the baseline's binary, which may differ
+   from what the sender would have attached) — so sender and receiver
+   compute identical digests for semantically identical images.
+   i_epoch and i_dspec are excluded too: they are incarnation and
+   transaction METADATA, not semantic payload — two incarnations of the
+   same state must share a baseline digest so delta negotiation still
+   works across a resurrection, and opening a transaction must not
+   invalidate a retained baseline. *)
+let image_digest image =
+  let buf = Buffer.create 65536 in
+  put_string buf image.i_arch;
+  put_string buf image.i_digest;
+  put_semantic buf image;
   Fir.Serial.encoded_digest (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
@@ -491,52 +493,42 @@ let apply_delta ~baseline delta =
 (* Packet codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let frame body =
-  let buf = Buffer.create (String.length body + 32) in
-  Buffer.add_string buf magic;
-  put_i64 buf version;
-  put_i64 buf (Fir.Serial.adler32 body);
-  put_i64 buf (String.length body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+let frame body = Fir.Serial.frame ~magic ~version body
 
 let unframe s =
-  if String.length s < 4 || not (String.equal (String.sub s 0 4) magic) then
-    raise (Corrupt "bad process-image magic");
-  let r = { Fir.Serial.data = s; pos = 4 } in
-  let v = get_i64 r in
-  if v <> version then raise (Corrupt "process-image version mismatch");
-  let sum = get_i64 r in
-  let len = get_i64 r in
-  if len < 0 || r.Fir.Serial.pos + len > String.length s then
-    raise (Corrupt "bad process-image length");
-  let body = String.sub s r.Fir.Serial.pos len in
-  if Fir.Serial.adler32 body <> sum then
-    raise (Corrupt "process-image checksum mismatch");
-  body
+  Fir.Serial.unframe ~magic ~version s ~fault:(function
+    | Short_magic | Bad_magic -> "bad process-image magic"
+    | Bad_version _ -> "process-image version mismatch"
+    | Bad_length -> "bad process-image length"
+    | Bad_checksum -> "process-image checksum mismatch")
 
-let encode image =
+(* One pass yields both the packet and its {!image_digest}: the digested
+   bytes are the body's arch and FIR-digest strings followed by its
+   semantic fields, so FNV runs over those two slices of the body just
+   encoded instead of over a second encoding of the heap. *)
+let encode_with_digest image =
   let body = Buffer.create 65536 in
   put_u8 body kind_full;
   put_string body image.i_arch;
   put_string body image.i_digest;
+  let head_end = Buffer.length body in
   put_string body image.i_fir;
   (match image.i_masm with
   | None -> put_u8 body 0
   | Some payload ->
     put_u8 body 1;
     put_string body payload);
-  put_list body put_string image.i_ftable;
-  put_ptable body image.i_ptable;
-  put_uvarint body (Array.length image.i_cells);
-  put_cells body image.i_cells 0 (Array.length image.i_cells);
-  put_list body put_spec_level image.i_spec;
-  put_varint body image.i_menv;
-  put_string body image.i_entry;
-  put_varint body image.i_label;
+  let sem_start = Buffer.length body in
+  put_semantic body image;
+  let sem_end = Buffer.length body in
   put_varint body image.i_epoch;
   put_dspec body image.i_dspec;
-  frame (Buffer.contents body)
+  let body = Buffer.contents body in
+  let h = Fir.Serial.fnv_update Fir.Serial.fnv_offset body 1 (head_end - 1) in
+  let h = Fir.Serial.fnv_update h body sem_start (sem_end - sem_start) in
+  frame body, Fir.Serial.fnv_hex h
+
+let encode image = fst (encode_with_digest image)
 
 let get_image r =
   let i_arch = get_string r in
@@ -680,15 +672,14 @@ let get_delta r =
   }
 
 let decode_packet s =
-  let body = unframe s in
-  let r = { Fir.Serial.data = body; pos = 0 } in
+  let r = unframe s in
   let kind = get_u8 r in
   let packet =
     if kind = kind_full then Full (get_image r)
     else if kind = kind_delta then Delta (get_delta r)
     else raise (Corrupt (Printf.sprintf "bad packet kind %d" kind))
   in
-  if r.Fir.Serial.pos <> String.length body then
+  if not (Fir.Serial.at_end r) then
     raise (Corrupt "trailing garbage in process image");
   packet
 

@@ -69,6 +69,11 @@ val encode : image -> string
 (** A full packet: checksummed, versioned, little-endian regardless of
     the source architecture. *)
 
+val encode_with_digest : image -> string * string
+(** [(encode image, image_digest image)] from one encoding pass: the
+    digest is hashed over the slices of the packet body that hold the
+    digested fields, not over a second encoding of the heap. *)
+
 val decode : string -> image
 (** @raise Corrupt on bad magic/version/checksum/truncation, or if the
     bytes hold a delta packet rather than a full image. *)

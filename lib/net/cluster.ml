@@ -1787,16 +1787,14 @@ let transmit_hop t ~retry ~send_at ~src_node ~dst_node ~target_name ~bytes
 
 (* Deliver landed image bytes to a node's daemon idempotently, keyed by
    (image digest, hop id): a retransmitted or duplicated hop returns the
-   original outcome instead of double-spawning.  The fault plan may make
-   the image arrive twice — deliver it twice on purpose and let the
-   dedup table absorb the second copy. *)
-let deliver_hop t (target : node) ~bytes ~pid ~rank ~arrive_at =
+   original outcome instead of double-spawning.  The hop id alone makes
+   the key unique, so the digest is the one the sender took while
+   packing ([digest]) rather than a rehash of the bytes.  The fault plan
+   may make the image arrive twice — deliver it twice on purpose and let
+   the dedup table absorb the second copy. *)
+let deliver_hop t (target : node) ~digest ~bytes ~pid ~rank ~arrive_at =
   t.hop_seq <- t.hop_seq + 1;
-  let key =
-    Printf.sprintf "%s#%d"
-      (Migrate.Server.delivery_key bytes)
-      t.hop_seq
-  in
+  let key = Printf.sprintf "%s#%d" digest t.hop_seq in
   match Migrate.Server.receive ~key target.daemon bytes with
   | Error _ as e -> e
   | Ok (Migrate.Server.Duplicate _) ->
@@ -1914,7 +1912,8 @@ let ship_shipment t ~retry (entry : entry) (src : node) (target : node)
       fail `Unreachable ~attempts ~elapsed_s reason
     | Ok hx -> (
       match
-        deliver_hop t target ~bytes:sh.sh_bytes ~pid ~rank
+        deliver_hop t target ~digest:packed.Migrate.Pack.p_digest
+          ~bytes:sh.sh_bytes ~pid ~rank
           ~arrive_at:(send_at +. hx.hx_delay_s)
       with
       | Ok outcome ->
@@ -1951,7 +1950,7 @@ let ship_shipment t ~retry (entry : entry) (src : node) (target : node)
    be encoded as a delta over it. *)
 let rebase_baseline (n : node) (entry : entry)
     (packed : Migrate.Pack.packed) =
-  let digest = Migrate.Wire.image_digest packed.Migrate.Pack.p_image in
+  let digest = packed.Migrate.Pack.p_digest in
   entry.baseline <- Some (digest, packed.Migrate.Pack.p_image);
   ignore
     (Migrate.Server.remember_baseline ~digest n.daemon

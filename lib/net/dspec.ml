@@ -242,16 +242,18 @@ let rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch =
       in
       rehome t txn ~coord_pid:new_pid ~root_uid)
     (live_of t (bucket t.by_coord old_pid));
+  (* one record per pid: the renamed record takes the rebind's rank and
+     epoch and absorbs any record [new_pid] already held *)
   Hashtbl.iter
     (fun _ txn ->
-      List.iter
-        (fun p ->
-          if p.p_pid = old_pid then begin
-            p.p_pid <- new_pid;
-            p.p_rank <- rank;
-            p.p_epoch <- epoch
-          end)
-        txn.x_parts)
+      match List.find_opt (fun p -> p.p_pid = old_pid) txn.x_parts with
+      | None -> ()
+      | Some moved ->
+        moved.p_pid <- new_pid;
+        moved.p_rank <- rank;
+        moved.p_epoch <- epoch;
+        txn.x_parts <-
+          List.filter (fun p -> p == moved || p.p_pid <> new_pid) txn.x_parts)
     t.live;
   (* the decisions it made as coordinator follow the identity *)
   match Hashtbl.find_opt t.coords old_pid with

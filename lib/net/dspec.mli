@@ -130,7 +130,11 @@ val rebind_pid :
     coordinates, the root uid is translated through [uid_map] (the
     old-engine → new-engine stable-uid correspondence).  Where it
     participates, its recorded rank AND epoch are refreshed — a
-    deliberate re-home is not a zombie, so its ack stays valid. *)
+    deliberate re-home is not a zombie, so its ack stays valid.  A
+    transaction keeps one record per pid: if [new_pid] already
+    participates, its record is dropped and [old_pid]'s renamed record
+    (in [old_pid]'s place, with the rebind's rank and epoch) stands for
+    both. *)
 
 (** {2 Counters} — bumped by the cluster's protocol driver (the
     transitions above bump their own). *)

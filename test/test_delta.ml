@@ -302,6 +302,86 @@ let test_baseline_lru_bound () =
     (Migrate.Server.baseline_count off = 0)
 
 (* ------------------------------------------------------------------ *)
+(* The image digest comes out of the encode pass                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_pack_digest_is_image_digest () =
+  List.iter
+    (fun arch ->
+      let fir = mutating_worker ~seed:4 ~cells:700 ~rounds:2 ~writes:30 in
+      let proc = Vm.Process.create ~arch fir in
+      run_to_migration proc;
+      List.iter
+        (fun with_binary ->
+          let p = Migrate.Pack.pack_request ~with_binary proc in
+          Alcotest.(check string)
+            (Printf.sprintf "%s (binary %b): p_digest is the image digest"
+               arch.Vm.Arch.name with_binary)
+            (Migrate.Wire.image_digest p.Migrate.Pack.p_image)
+            p.Migrate.Pack.p_digest;
+          Alcotest.(check string)
+            "and the digest of the decoded bytes"
+            (Migrate.Wire.image_digest
+               (Migrate.Wire.decode p.Migrate.Pack.p_bytes))
+            p.Migrate.Pack.p_digest)
+        [ false; true ])
+    [ Vm.Arch.cisc32; Vm.Arch.risc64 ]
+
+let test_delta_new_digest () =
+  let p1, p2 = pack_pair () in
+  match
+    Migrate.Pack.delta ~baseline:p1.Migrate.Pack.p_image
+      ~base_digest:p1.Migrate.Pack.p_digest p2
+  with
+  | None -> Alcotest.fail "delta encoding impossible"
+  | Some (dbytes, _) -> (
+    match Migrate.Wire.decode_packet dbytes with
+    | Migrate.Wire.Full _ -> Alcotest.fail "delta decoded as full"
+    | Migrate.Wire.Delta d ->
+      Alcotest.(check string) "d_new_digest is the sender's p_digest"
+        p2.Migrate.Pack.p_digest d.Migrate.Wire.d_new_digest;
+      let rebuilt =
+        Migrate.Wire.apply_delta ~baseline:p1.Migrate.Pack.p_image d
+      in
+      Alcotest.(check string) "and the digest of the rebuilt image"
+        (Migrate.Wire.image_digest rebuilt) d.Migrate.Wire.d_new_digest)
+
+(* One cluster hop: the receiver re-derives the baseline key from the
+   decoded image, and it must equal the digest the sender took while
+   encoding, or the next hop back could never ship a delta. *)
+let test_cluster_hop_baseline_key () =
+  let cluster =
+    Net.Cluster.create_cfg
+      { Net.Cluster.Config.default with node_count = 2; seed = 5 }
+  in
+  let pid =
+    Net.Cluster.spawn cluster ~node_id:0
+      (compile_c
+         {|
+int main() {
+  int n = 500;
+  int *data = alloc_int(n);
+  int i;
+  for (i = 0; i < n; i = i + 1) data[i] = i * 7;
+  migrate("mcc://node1");
+  return data[n - 1] % 251;
+}
+|})
+  in
+  let _ = Net.Cluster.run cluster in
+  match Net.Cluster.entry_of_pid cluster pid with
+  | None -> Alcotest.fail "sender entry lost"
+  | Some e -> (
+    match e.Net.Cluster.baseline with
+    | None -> Alcotest.fail "the hop recorded no sender baseline"
+    | Some (digest, image) ->
+      Alcotest.(check string) "the sender's key is the image digest"
+        (Migrate.Wire.image_digest image) digest;
+      check "the receiving daemon holds the sender's p_digest" true
+        (Migrate.Server.has_baseline
+           (Net.Cluster.node cluster 1).Net.Cluster.daemon digest))
+
+(* ------------------------------------------------------------------ *)
 (* Cluster: delta shipping end-to-end                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -529,6 +609,15 @@ let suites =
           `Quick test_server_unknown_baseline;
         Alcotest.test_case "baseline cache is LRU-bounded" `Quick
           test_baseline_lru_bound;
+      ] );
+    ( "delta.digest",
+      [
+        Alcotest.test_case "p_digest equals image_digest on both arches"
+          `Quick test_pack_digest_is_image_digest;
+        Alcotest.test_case "d_new_digest names the rebuilt image" `Quick
+          test_delta_new_digest;
+        Alcotest.test_case "receiver holds the sender's p_digest after a hop"
+          `Quick test_cluster_hop_baseline_key;
       ] );
     ( "delta.cluster",
       [

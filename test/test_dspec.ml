@@ -389,10 +389,11 @@ let show_dop = function
   | D_abort i -> Printf.sprintf "abort%d" i
   | D_compensate i -> Printf.sprintf "comp%d" i
   | D_write (i, st) -> Printf.sprintf "write%d=%s" i (show_state st)
-  | D_rebind (o, n, m, _, _) ->
-    Printf.sprintf "rebind(%d->%d,[%s])" o n
+  | D_rebind (o, n, m, r, e) ->
+    Printf.sprintf "rebind(%d->%d,[%s]@%d/%d)" o n
       (String.concat ";"
          (List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b) m))
+      r e
 
 let m_live m =
   match m.m_state with
@@ -404,145 +405,183 @@ let m_live m =
 let m_lowest model p =
   Option.map (fun m -> m.m_id) (List.find_opt p model)
 
+(* Run [ops] against the real table and the model; true when they agree
+   after every step. *)
+let dops_agree ops =
+  let metrics = Obs.Metrics.create () in
+  let t = Net.Dspec.create ~metrics () in
+  let reals = Hashtbl.create 16 in
+  let model = ref [] in
+  let nth i = List.find_opt (fun m -> m.m_id = i) !model in
+  let with_txn i f =
+    match nth i with
+    | Some m -> f m (Hashtbl.find reals i)
+    | None -> ()
+  in
+  let apply = function
+    | D_open (c, r) ->
+      let x =
+        Net.Dspec.open_txn t ~coord_pid:c ~root_uid:r ~coord_laddr:(-1)
+      in
+      Hashtbl.replace reals x.Net.Dspec.x_id x;
+      model :=
+        !model
+        @ [ { m_id = x.Net.Dspec.x_id; m_coord = c; m_root = r;
+              m_state = Net.Dspec.Open; m_comp = false; m_parts = [] } ]
+    | D_register (i, pid, rank, epoch) ->
+      with_txn i (fun m x ->
+          if m_live m then begin
+            Net.Dspec.register x ~pid ~rank ~epoch;
+            m.m_parts <-
+              (if List.exists (fun (p, _, _) -> p = pid) m.m_parts then
+                 List.map
+                   (fun ((p, _, _) as e) ->
+                     if p = pid then (p, rank, epoch) else e)
+                   m.m_parts
+               else (pid, rank, epoch) :: m.m_parts)
+          end)
+    | D_commit i ->
+      with_txn i (fun m x ->
+          if m.m_state = Net.Dspec.Open then begin
+            Net.Dspec.commit t x;
+            m.m_state <- Net.Dspec.Committed
+          end)
+    | D_abort i ->
+      with_txn i (fun m x ->
+          if m.m_state = Net.Dspec.Open then begin
+            Net.Dspec.abort t x ~reason:"test";
+            m.m_state <- Net.Dspec.Aborted "test"
+          end)
+    | D_compensate i ->
+      with_txn i (fun m x ->
+          match m.m_state with
+          | Net.Dspec.Aborted _ when not m.m_comp ->
+            Net.Dspec.mark_compensated t x ~discarded:1;
+            m.m_comp <- true
+          | _ -> ())
+    | D_write (i, st) ->
+      with_txn i (fun m x ->
+          if m_live m then begin
+            x.Net.Dspec.x_state <- st;
+            m.m_state <- st
+          end)
+    | D_rebind (old_pid, new_pid, uid_map, rank, epoch) ->
+      Net.Dspec.rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch;
+      List.iter
+        (fun m ->
+          if m.m_coord = old_pid then begin
+            m.m_coord <- new_pid;
+            match List.assoc_opt m.m_root uid_map with
+            | Some u -> m.m_root <- u
+            | None -> ()
+          end;
+          (* one record per pid: old_pid's becomes new_pid's, in
+             place, and replaces any record new_pid already had *)
+          if List.exists (fun (p, _, _) -> p = old_pid) m.m_parts then
+            m.m_parts <-
+              List.filter_map
+                (fun ((p, _, _) as e) ->
+                  if p = old_pid then Some (new_pid, rank, epoch)
+                  else if p = new_pid then None
+                  else Some e)
+                m.m_parts)
+        !model
+  in
+  let id = Option.map (fun x -> x.Net.Dspec.x_id) in
+  let agree () =
+    let ms = !model in
+    let lookups_ok =
+      List.for_all
+        (fun c ->
+          List.for_all
+            (fun r ->
+              let at m = m.m_coord = c && m.m_root = r in
+              id (Net.Dspec.open_with_root t ~coord_pid:c ~root_uid:r)
+              = m_lowest ms (fun m -> at m && m.m_state = Net.Dspec.Open)
+              && id
+                   (Net.Dspec.aborted_with_root t ~coord_pid:c
+                      ~root_uid:r)
+                 = m_lowest ms (fun m ->
+                       at m
+                       && m_live m
+                       && m.m_state <> Net.Dspec.Open))
+            (List.init roots Fun.id)
+          && List.map
+               (fun x -> x.Net.Dspec.x_id)
+               (Net.Dspec.open_coordinated_by t ~pid:c)
+             = List.filter_map
+                 (fun m ->
+                   if m.m_coord = c && m.m_state = Net.Dspec.Open then
+                     Some m.m_id
+                   else None)
+                 ms)
+        (List.init pids Fun.id)
+    in
+    let find_ok =
+      List.for_all
+        (fun m ->
+          match Net.Dspec.find t m.m_id with
+          | None -> false
+          | Some x ->
+            x.Net.Dspec.x_coord_pid = m.m_coord
+            && x.Net.Dspec.x_state = m.m_state
+            && ((not (m_live m))
+               || x.Net.Dspec.x_root_uid = m.m_root
+                  && List.map
+                       (fun p ->
+                         Net.Dspec.(p.p_pid, p.p_rank, p.p_epoch))
+                       x.Net.Dspec.x_parts
+                     = m.m_parts))
+        ms
+      && Net.Dspec.find t (List.length ms + 1) = None
+    in
+    (* the lookups above retired every entry a direct write decided,
+       so the gauge now counts exactly the model's live txns *)
+    lookups_ok && find_ok
+    && Obs.Metrics.gauge_read metrics "dspec.live_txns"
+       = float_of_int (List.length (List.filter m_live ms))
+  in
+  List.for_all
+    (fun op ->
+      apply op;
+      agree ())
+    ops
+
 let prop_dspec_matches_scan_model =
   QCheck.Test.make ~count:300 ~name:"indexed dspec table matches a list scan"
     (QCheck.make
        QCheck.Gen.(list_size (int_range 1 80) dop_gen)
+       ~shrink:QCheck.Shrink.list
        ~print:(fun ops -> String.concat " " (List.map show_dop ops)))
-    (fun ops ->
-      let metrics = Obs.Metrics.create () in
-      let t = Net.Dspec.create ~metrics () in
-      let reals = Hashtbl.create 16 in
-      let model = ref [] in
-      let nth i = List.find_opt (fun m -> m.m_id = i) !model in
-      let with_txn i f =
-        match nth i with
-        | Some m -> f m (Hashtbl.find reals i)
-        | None -> ()
-      in
-      let apply = function
-        | D_open (c, r) ->
-          let x =
-            Net.Dspec.open_txn t ~coord_pid:c ~root_uid:r ~coord_laddr:(-1)
-          in
-          Hashtbl.replace reals x.Net.Dspec.x_id x;
-          model :=
-            !model
-            @ [ { m_id = x.Net.Dspec.x_id; m_coord = c; m_root = r;
-                  m_state = Net.Dspec.Open; m_comp = false; m_parts = [] } ]
-        | D_register (i, pid, rank, epoch) ->
-          with_txn i (fun m x ->
-              if m_live m then begin
-                Net.Dspec.register x ~pid ~rank ~epoch;
-                m.m_parts <-
-                  (if List.exists (fun (p, _, _) -> p = pid) m.m_parts then
-                     List.map
-                       (fun ((p, _, _) as e) ->
-                         if p = pid then (p, rank, epoch) else e)
-                       m.m_parts
-                   else (pid, rank, epoch) :: m.m_parts)
-              end)
-        | D_commit i ->
-          with_txn i (fun m x ->
-              if m.m_state = Net.Dspec.Open then begin
-                Net.Dspec.commit t x;
-                m.m_state <- Net.Dspec.Committed
-              end)
-        | D_abort i ->
-          with_txn i (fun m x ->
-              if m.m_state = Net.Dspec.Open then begin
-                Net.Dspec.abort t x ~reason:"test";
-                m.m_state <- Net.Dspec.Aborted "test"
-              end)
-        | D_compensate i ->
-          with_txn i (fun m x ->
-              match m.m_state with
-              | Net.Dspec.Aborted _ when not m.m_comp ->
-                Net.Dspec.mark_compensated t x ~discarded:1;
-                m.m_comp <- true
-              | _ -> ())
-        | D_write (i, st) ->
-          with_txn i (fun m x ->
-              if m_live m then begin
-                x.Net.Dspec.x_state <- st;
-                m.m_state <- st
-              end)
-        | D_rebind (old_pid, new_pid, uid_map, rank, epoch) ->
-          Net.Dspec.rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch;
-          List.iter
-            (fun m ->
-              if m.m_coord = old_pid then begin
-                m.m_coord <- new_pid;
-                match List.assoc_opt m.m_root uid_map with
-                | Some u -> m.m_root <- u
-                | None -> ()
-              end;
-              m.m_parts <-
-                List.map
-                  (fun ((p, _, _) as e) ->
-                    if p = old_pid then (new_pid, rank, epoch) else e)
-                  m.m_parts)
-            !model
-      in
-      let id = Option.map (fun x -> x.Net.Dspec.x_id) in
-      let agree () =
-        let ms = !model in
-        let lookups_ok =
-          List.for_all
-            (fun c ->
-              List.for_all
-                (fun r ->
-                  let at m = m.m_coord = c && m.m_root = r in
-                  id (Net.Dspec.open_with_root t ~coord_pid:c ~root_uid:r)
-                  = m_lowest ms (fun m -> at m && m.m_state = Net.Dspec.Open)
-                  && id
-                       (Net.Dspec.aborted_with_root t ~coord_pid:c
-                          ~root_uid:r)
-                     = m_lowest ms (fun m ->
-                           at m
-                           && m_live m
-                           && m.m_state <> Net.Dspec.Open))
-                (List.init roots Fun.id)
-              && List.map
-                   (fun x -> x.Net.Dspec.x_id)
-                   (Net.Dspec.open_coordinated_by t ~pid:c)
-                 = List.filter_map
-                     (fun m ->
-                       if m.m_coord = c && m.m_state = Net.Dspec.Open then
-                         Some m.m_id
-                       else None)
-                     ms)
-            (List.init pids Fun.id)
-        in
-        let find_ok =
-          List.for_all
-            (fun m ->
-              match Net.Dspec.find t m.m_id with
-              | None -> false
-              | Some x ->
-                x.Net.Dspec.x_coord_pid = m.m_coord
-                && x.Net.Dspec.x_state = m.m_state
-                && ((not (m_live m))
-                   || x.Net.Dspec.x_root_uid = m.m_root
-                      && List.map
-                           (fun p ->
-                             Net.Dspec.(p.p_pid, p.p_rank, p.p_epoch))
-                           x.Net.Dspec.x_parts
-                         = m.m_parts))
-            ms
-          && Net.Dspec.find t (List.length ms + 1) = None
-        in
-        (* the lookups above retired every entry a direct write decided,
-           so the gauge now counts exactly the model's live txns *)
-        lookups_ok && find_ok
-        && Obs.Metrics.gauge_read metrics "dspec.live_txns"
-           = float_of_int (List.length (List.filter m_live ms))
-      in
-      List.for_all
-        (fun op ->
-          apply op;
-          agree ())
-        ops)
+    dops_agree
+
+(* The shrunk counterexample of a rebind onto a pid that already
+   participates: txn 3 held records for pids 3 and 1, and the rename
+   left two records for pid 1, of which [register] refreshed one. *)
+let test_rebind_merges_participants () =
+  let ops =
+    [
+      D_open (1, 1);
+      D_open (4, 1);
+      D_open (2, 1);
+      D_register (3, 3, 9, 6);
+      D_register (3, 1, 9, 8);
+      D_rebind (3, 1, [ (2, 2) ], 2, 2);
+      D_register (3, 1, 5, 2);
+    ]
+  in
+  check "table and model agree" true (dops_agree ops);
+  let t = Net.Dspec.create () in
+  let x = Net.Dspec.open_txn t ~coord_pid:2 ~root_uid:1 ~coord_laddr:(-1) in
+  Net.Dspec.register x ~pid:3 ~rank:9 ~epoch:6;
+  Net.Dspec.register x ~pid:1 ~rank:9 ~epoch:8;
+  Net.Dspec.rebind_pid t ~old_pid:3 ~new_pid:1 ~uid_map:[] ~rank:2 ~epoch:2;
+  Alcotest.(check (list (triple int int int)))
+    "one record for the merged pid, with the rebind's rank and epoch"
+    [ (1, 2, 2) ]
+    (List.map
+       (fun p -> Net.Dspec.(p.p_pid, p.p_rank, p.p_epoch))
+       x.Net.Dspec.x_parts)
 
 let suites =
   [
@@ -563,5 +602,7 @@ let suites =
         Alcotest.test_case "live table drains after a faulty run" `Quick
           test_live_table_drains;
         QCheck_alcotest.to_alcotest prop_dspec_matches_scan_model;
+        Alcotest.test_case "rebind onto a participant keeps one record"
+          `Quick test_rebind_merges_participants;
       ] );
   ]

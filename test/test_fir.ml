@@ -556,6 +556,176 @@ let test_serial_corrupt () =
   | exception Serial.Corrupt _ -> ()
   | _ -> Alcotest.fail "bad magic accepted"
 
+(* ------------------------------------------------------------------ *)
+(* Golden vectors for the byte primitives                              *)
+(* ------------------------------------------------------------------ *)
+
+let hex_of s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_adler32_golden () =
+  check_int "Adler-32 of \"Wikipedia\"" 0x11E60398
+    (Serial.adler32 "Wikipedia");
+  check_int "Adler-32 of the empty string" 1 (Serial.adler32 "");
+  (* the textbook definition, reduced on every byte: the block-reduced
+     loop must agree past several 5552-byte blocks of maximal bytes *)
+  let naive s =
+    let a = ref 1 and b = ref 0 in
+    String.iter
+      (fun c ->
+        a := (!a + Char.code c) mod 65521;
+        b := (!b + !a) mod 65521)
+      s;
+    (!b lsl 16) lor !a
+  in
+  let ff = String.make 100_000 '\xff' in
+  check_int "100 KB of 0xff" (naive ff) (Serial.adler32 ff);
+  let mixed = String.init 20_000 (fun i -> Char.chr ((i * 131 + 7) land 0xff)) in
+  check_int "mixed bytes" (naive mixed) (Serial.adler32 mixed)
+
+let test_fnv_golden () =
+  List.iter
+    (fun (s, want) ->
+      check_str (Printf.sprintf "FNV-1a 64 of %S" s) want
+        (Serial.encoded_digest s))
+    [
+      "", "cbf29ce484222325";
+      "a", "af63dc4c8601ec8c";
+      "foobar", "85944171f73967e8";
+    ];
+  let h = Serial.fnv_update Serial.fnv_offset "xfoo" 1 3 in
+  check_str "slices hash like their concatenation" "85944171f73967e8"
+    (Serial.fnv_hex (Serial.fnv_update h "barx" 0 3))
+
+let test_fixed_width_golden () =
+  let enc put v =
+    let buf = Buffer.create 8 in
+    put buf v;
+    Buffer.contents buf
+  in
+  let reader s = { Serial.data = s; pos = 0 } in
+  List.iter
+    (fun (n, want) ->
+      let bytes = enc Serial.put_i64 n in
+      check_str (Printf.sprintf "put_i64 %d" n) want (hex_of bytes);
+      check_int (Printf.sprintf "get_i64 %d" n) n
+        (Serial.get_i64 (reader bytes)))
+    [
+      min_int, "00000000000000c0";
+      max_int, "ffffffffffffff3f";
+      -1, "ffffffffffffffff";
+      0x0102030405060708, "0807060504030201";
+    ];
+  let payload_nan = Int64.float_of_bits 0x7ff8000000000abcL in
+  List.iter
+    (fun (f, want) ->
+      let bytes = enc Serial.put_f64_bits f in
+      check_str (Printf.sprintf "put_f64_bits %h" f) want (hex_of bytes);
+      check "get_f64_bits restores the bit pattern" true
+        (Int64.equal (Int64.bits_of_float f)
+           (Int64.bits_of_float (Serial.get_f64_bits (reader bytes)))))
+    [ -0.0, "0000000000000080"; payload_nan, "bc0a00000000f87f" ]
+
+(* A fixed program packed at its migration point: a float array holding
+   -0.0, a NaN with a payload and 1e300, and an int array holding min_int
+   and max_int, between runs of equal cells.  Variables carry fixed ids,
+   so the encoding does not depend on what ran before.  The expected
+   digests were recorded before the byte primitives were rewritten: equal
+   digests mean the wire bytes and the image digest did not change. *)
+let golden_program () =
+  let open Ast in
+  let v id name = Var.of_id ~id ~name in
+  let fa = v 1 "fa" and ia = v 2 "ia" and dst = v 3 "dst" in
+  let rfa = v 4 "fa" and ria = v 5 "ia" and x = v 6 "x" in
+  let stores arr cells k =
+    List.fold_right (fun (i, a) k -> Store (Var arr, Int i, a, k)) cells k
+  in
+  let nan_payload = Int64.float_of_bits 0x7ff8000000000abcL in
+  let main =
+    Let_array
+      ( fa, Types.Tfloat, Int 40, Float 0.25,
+        stores fa
+          [ (3, Float (-0.0)); (4, Float nan_payload); (5, Float 1e300) ]
+          (Let_array
+             ( ia, Types.Tint, Int 40, Int (-7),
+               stores ia
+                 [ (0, Int min_int); (1, Int max_int); (2, Int 300) ]
+                 (Let_string
+                    ( dst, "mcc://dest",
+                      Migrate (1, Var dst, Fun "resume", [ Var fa; Var ia ])
+                    )) )) )
+  in
+  let resume = Let_load (x, Types.Tint, Var ria, Int 2, Exit (Var x)) in
+  program
+    [
+      { f_name = "main"; f_params = []; f_body = main };
+      {
+        f_name = "resume";
+        f_params =
+          [ (rfa, Types.Tptr Types.Tfloat); (ria, Types.Tptr Types.Tint) ];
+        f_body = resume;
+      };
+    ]
+    ~main:"main"
+
+let test_packed_bytes_golden () =
+  let fir = golden_program () in
+  List.iter
+    (fun (arch, with_binary, bytes_digest, image_digest) ->
+      let proc = Vm.Process.create ~arch fir in
+      (match Vm.Interp.run proc with
+      | Vm.Process.Migrating _ -> ()
+      | _ -> Alcotest.fail "no migration point");
+      let p = Migrate.Pack.pack_request ~with_binary proc in
+      let name = arch.Vm.Arch.name in
+      check_str (name ^ ": packed bytes") bytes_digest
+        (Digest.of_encoded p.Migrate.Pack.p_bytes);
+      check_str (name ^ ": image digest") image_digest
+        (Migrate.Wire.image_digest p.Migrate.Pack.p_image);
+      check_str (name ^ ": digest from the encode pass") image_digest
+        p.Migrate.Pack.p_digest)
+    [
+      Vm.Arch.cisc32, false, "7de492d8501c9baa", "6f16800a6cd976da";
+      Vm.Arch.risc64, true, "1076a77a2f69a223", "0a819773f89355dc";
+    ]
+
+(* The shared frame: trailing bytes after a frame are ignored, and each
+   codec words its own faults. *)
+let test_frame_shared () =
+  let fault = function
+    | Serial.Short_magic -> "short"
+    | Serial.Bad_magic -> "magic"
+    | Serial.Bad_version v -> Printf.sprintf "version %d" v
+    | Serial.Bad_length -> "length"
+    | Serial.Bad_checksum -> "checksum"
+  in
+  let f = Serial.frame ~magic:"TEST" ~version:3 "payload" in
+  let body r =
+    String.sub r.Serial.data r.Serial.pos
+      (String.length r.Serial.data - r.Serial.pos)
+  in
+  check_str "body" "payload"
+    (body (Serial.unframe ~magic:"TEST" ~version:3 ~fault f));
+  check_str "bytes after the frame are ignored" "payload"
+    (body (Serial.unframe ~magic:"TEST" ~version:3 ~fault (f ^ "junk")));
+  let fails s want =
+    match Serial.unframe ~magic:"TEST" ~version:3 ~fault s with
+    | exception Serial.Corrupt m -> check_str want want m
+    | _ -> Alcotest.failf "accepted a bad frame (%s)" want
+  in
+  fails "TE" "short";
+  fails ("XEST" ^ String.sub f 4 (String.length f - 4)) "magic";
+  fails (Serial.frame ~magic:"TEST" ~version:4 "payload") "version 4";
+  fails (String.sub f 0 (String.length f - 1)) "length";
+  let b = Bytes.of_string f in
+  Bytes.set b (Bytes.length b - 1) 'X';
+  fails (Bytes.to_string b) "checksum";
+  match Vm.Masm.decode "MAS" with
+  | exception Vm.Masm.Corrupt m -> check_str "MASM wording" "bad MASM magic" m
+  | _ -> Alcotest.fail "MASM accepted a short frame"
+
 let test_serial_floats () =
   let weird = [ 0.1; -0.0; infinity; neg_infinity; 1e-300; Float.pi ] in
   List.iter
@@ -714,6 +884,14 @@ let suites =
         Alcotest.test_case "canonical encoding" `Quick test_serial_stable;
         Alcotest.test_case "corruption detected" `Quick test_serial_corrupt;
         Alcotest.test_case "float exactness" `Quick test_serial_floats;
+        Alcotest.test_case "Adler-32 golden vectors" `Quick
+          test_adler32_golden;
+        Alcotest.test_case "FNV-1a 64 golden vectors" `Quick test_fnv_golden;
+        Alcotest.test_case "fixed-width fields: pinned bytes" `Quick
+          test_fixed_width_golden;
+        Alcotest.test_case "packed image bytes unchanged" `Quick
+          test_packed_bytes_golden;
+        Alcotest.test_case "one frame codec" `Quick test_frame_shared;
         QCheck_alcotest.to_alcotest prop_ty_roundtrip;
         QCheck_alcotest.to_alcotest prop_exp_size_positive;
       ] );
